@@ -30,6 +30,8 @@
 #include "src/sim/engine.hpp"
 #include "tests/policy_parity_cells.hpp"
 #include "tests/policy_parity_golden.inc"
+#include "tests/recovery_state_cells.hpp"
+#include "tests/recovery_state_golden.inc"
 
 namespace streamcast::core {
 namespace {
@@ -42,10 +44,11 @@ using sim::Tx;
 
 // --- golden byte-parity ----------------------------------------------------
 
-/// Parses the golden capture into cell-id -> serialized report text.
-std::map<std::string, std::string> parse_golden() {
+/// Parses a golden capture into cell-id -> serialized report text.
+std::map<std::string, std::string> parse_golden(
+    const char* text = kPolicyParityGolden) {
   std::map<std::string, std::string> golden;
-  std::istringstream in(kPolicyParityGolden);
+  std::istringstream in(text);
   std::string line;
   std::string id;
   std::string body;
@@ -103,6 +106,20 @@ TEST(PolicyParity, SweepThreadCountsMatchPreRefactorGolden) {
       EXPECT_EQ(got, it->second) << "threads=" << threads
                                  << " parity break in cell: " << cells[i].id;
     }
+  }
+}
+
+TEST(RecoveryStateParity, CellsMatchGolden) {
+  const auto golden = parse_golden(kRecoveryStateGolden);
+  const auto cells = recovery_state_cells();
+  ASSERT_EQ(golden.size(), cells.size())
+      << "cell list and golden capture drifted";
+  for (const RecoveryStateCell& cell : cells) {
+    const auto it = golden.find(cell.id);
+    ASSERT_NE(it, golden.end()) << "no golden for cell: " << cell.id;
+    const LossRunResult r = StreamingSession(cell.cfg).run_lossy();
+    EXPECT_EQ(render_recovery_cell(cell, r), it->second)
+        << "parity break in cell: " << cell.id;
   }
 }
 
