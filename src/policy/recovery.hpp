@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "src/sim/event.hpp"
@@ -133,8 +132,16 @@ class RecoveryHost {
   virtual bool has_arrived(NodeKey node, PacketId p) const = 0;
   /// First packet id `node` has not yet received.
   virtual PacketId gap_free_prefix(NodeKey node) const = 0;
-  /// Ids received ahead of the prefix (the current gaps' far side).
-  virtual const std::set<PacketId>& ahead(NodeKey node) const = 0;
+  /// True when `node` holds nothing beyond its gap-free prefix (no open
+  /// gap). The queries below never allocate.
+  virtual bool ahead_empty(NodeKey node) const = 0;
+  /// Highest packet id `node` holds: its newest id received ahead of the
+  /// prefix, or prefix - 1 when nothing is ahead of it.
+  virtual PacketId highest_held(NodeKey node) const = 0;
+  /// Ascending walk of the ids `node` received ahead of its prefix (the
+  /// current gaps' far side): the smallest such id >= `from`, or
+  /// sim::kNoPacket when there is none.
+  virtual PacketId next_ahead(NodeKey node, PacketId from) const = 0;
 
   virtual bool in_flight(NodeKey to, PacketId p) const = 0;
   virtual void set_in_flight(NodeKey to, PacketId p, bool value) = 0;
@@ -216,6 +223,10 @@ class RecoveryPolicy {
   /// The loss model erased a control-id (parity) transmission.
   virtual void on_control_drop(RecoveryHost& /*host*/,
                                const sim::Drop& /*d*/) {}
+
+  /// The host seated `node` at a live edge: ids below its new gap-free
+  /// prefix count as held from now on, without an ingest per id.
+  virtual void on_seat(RecoveryHost& /*host*/, NodeKey /*node*/) {}
 
   /// True when the policy can no longer close any open gap (every erased
   /// use is decoded or abandoned and nothing is in flight). The drain loop

@@ -1,3 +1,4 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/policy/streaming_code.hpp"
 
 #include <algorithm>
@@ -11,6 +12,9 @@ namespace {
 /// bound would indicate a mis-flagged strided scheme.
 constexpr PacketId kMaxSkipRange = 4096;
 
+/// Dead uses a link accumulates before prune() shifts its use vector.
+constexpr std::int64_t kPruneBatch = 64;
+
 }  // namespace
 
 StreamingCodePolicy::StreamingCodePolicy(const RecoveryPolicyOptions& options)
@@ -21,28 +25,50 @@ StreamingCodePolicy::StreamingCodePolicy(const RecoveryPolicyOptions& options)
   decode_delay_ = std::max(decode_delay_, static_cast<Slot>(max_burst_));
 }
 
-void StreamingCodePolicy::record_use(RecoveryHost& /*host*/, LinkKey /*key*/,
-                                     Link& link, const Tx& tx, bool parity) {
+void StreamingCodePolicy::bind(RecoveryHost& host) {
+  code_links_.bind(host.node_count());
+  lost_.resize(static_cast<std::size_t>(host.node_count()));
+}
+
+StreamingCodePolicy::Use* StreamingCodePolicy::find_use(Link& link,
+                                                        UseIndex idx) {
+  if (idx < link.first || idx >= link.next_index) return nullptr;
+  return &use_at(link, idx);
+}
+
+bool StreamingCodePolicy::lost(NodeKey node, PacketId id) const {
+  return std::ranges::binary_search(lost_[static_cast<std::size_t>(node)], id);
+}
+
+void StreamingCodePolicy::mark_lost(NodeKey node, PacketId id) {
+  auto& ids = lost_[static_cast<std::size_t>(node)];
+  const auto at = std::ranges::lower_bound(ids, id);
+  if (at == ids.end() || *at != id) ids.insert(at, id);
+}
+
+void StreamingCodePolicy::record_use(Link& link, const Tx& tx, bool parity) {
   const UseIndex idx = link.next_index++;
-  Use use;
-  use.tx = tx;
-  use.parity = parity;
-  link.uses.emplace(idx, use);
+  link.uses.push_back(Use{.tx = tx, .parity = parity});
   ++pending_uses_;
   if (parity) {
-    parity_at_.emplace(tx.packet, std::make_pair(LinkKey{tx.from, tx.to}, idx));
-  } else {
-    link.index_of[tx.packet] = idx;
-    link.credit += static_cast<std::int64_t>(max_burst_);
+    link.pending_parity.push_back(InFlight{.id = tx.packet, .index = idx});
+    return;
   }
+  const auto it =
+      std::ranges::find(link.pending_data, tx.packet, &InFlight::id);
+  if (it == link.pending_data.end()) {
+    link.pending_data.push_back(InFlight{.id = tx.packet, .index = idx});
+  } else {
+    it->index = idx;
+  }
+  link.credit += static_cast<std::int64_t>(max_burst_);
 }
 
 void StreamingCodePolicy::on_data_emitted(RecoveryHost& host, Slot /*t*/,
                                           const Tx& tx) {
-  LinkKey key{tx.from, tx.to};
-  Link& link = code_links_[key];
+  Link& link = code_links_.get(tx.from, tx.to);
   if (options().dense_links) detect_skips(host, link, tx);
-  record_use(host, key, link, tx, /*parity=*/false);
+  record_use(link, tx, /*parity=*/false);
 }
 
 void StreamingCodePolicy::detect_skips(RecoveryHost& host, Link& link,
@@ -56,32 +82,35 @@ void StreamingCodePolicy::detect_skips(RecoveryHost& host, Link& link,
     for (PacketId g = lo; g < tx.packet; ++g) {
       if (host.has_arrived(tx.to, g)) continue;
       if (host.in_flight(tx.to, g)) continue;
-      link.skipped.try_emplace(g, tx.tag);
+      const auto at =
+          std::ranges::lower_bound(link.skipped, g, {}, &Skipped::id);
+      if (at == link.skipped.end() || at->id != g) {
+        link.skipped.insert(at, Skipped{.id = g, .tag = tx.tag});
+      }
     }
   }
   link.last_data = std::max(link.last_data, tx.packet);
 }
 
-void StreamingCodePolicy::forward_skipped(RecoveryHost& host, Slot t,
-                                          LinkKey key, Link& link,
-                                          std::vector<Tx>& out) {
-  const auto [from, to] = key;
-  for (auto it = link.skipped.begin(); it != link.skipped.end();) {
-    const PacketId id = it->first;
-    if (host.has_arrived(to, id) || lost_.contains({to, id})) {
-      it = link.skipped.erase(it);
-      continue;
-    }
-    if (lost_.contains({from, id})) {
+void StreamingCodePolicy::forward_skipped(
+    RecoveryHost& host, Slot t, NodeKey from, NodeKey to, Link& link,
+    // lint: allow(hot-path-alloc) — the slot's output list
+    std::vector<Tx>& out) {
+  auto& skipped = link.skipped;
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  for (; next < skipped.size(); ++next) {
+    const Skipped s = skipped[next];
+    if (host.has_arrived(to, s.id) || lost(to, s.id)) continue;
+    if (lost(from, s.id)) {
       // The upstream hop gave this id up: the sender will never hold it,
       // so no data use can ever carry it here. Cascade the abandonment.
-      lost_.insert({to, id});
-      host.abandon_gap(t, to, id);
-      it = link.skipped.erase(it);
+      mark_lost(to, s.id);
+      host.abandon_gap(t, to, s.id);
       continue;
     }
-    if (host.in_flight(to, id) || !host.holds(from, id)) {
-      ++it;  // still undecided upstream, or already on its way
+    if (host.in_flight(to, s.id) || !host.holds(from, s.id)) {
+      skipped[kept++] = s;  // still undecided upstream, or already on its way
       continue;
     }
     if (!host.send_available(from) ||
@@ -89,28 +118,29 @@ void StreamingCodePolicy::forward_skipped(RecoveryHost& host, Slot t,
       break;  // out of capacity this slot; the queue carries over
     }
     const Tx fwd{
-        .from = from, .to = to, .packet = id, .tag = it->second,
+        .from = from, .to = to, .packet = s.id, .tag = s.tag,
         .retransmit = true};
-    record_use(host, key, link, fwd, /*parity=*/false);
+    record_use(link, fwd, /*parity=*/false);
     out.push_back(fwd);
     ++host.stats().retransmissions;
     host.use_send(from);
     host.note_planned_arrival(t + host.link_latency(from, to) - 1, to);
-    host.set_in_flight(to, id, true);
-    it = link.skipped.erase(it);
+    host.set_in_flight(to, s.id, true);
   }
+  skipped.erase(skipped.begin() + static_cast<std::ptrdiff_t>(kept),
+                skipped.begin() + static_cast<std::ptrdiff_t>(next));
 }
 
-bool StreamingCodePolicy::emit_parity_use(RecoveryHost& host, Slot t,
-                                          LinkKey key, Link& link,
-                                          std::vector<Tx>& out) {
-  const auto [from, to] = key;
+bool StreamingCodePolicy::emit_parity_use(
+    RecoveryHost& host, Slot t, NodeKey from, NodeKey to, Link& link,
+    // lint: allow(hot-path-alloc) — the slot's output list
+    std::vector<Tx>& out) {
   if (!host.send_available(from) ||
       !host.recv_headroom(t + host.link_latency(from, to) - 1, to)) {
     return false;  // blocked on capacity; the credit carries over
   }
   const Tx parity{.from = from, .to = to, .packet = next_code_id_++, .tag = -1};
-  record_use(host, key, link, parity, /*parity=*/true);
+  record_use(link, parity, /*parity=*/true);
   out.push_back(parity);
   host.use_send(from);
   host.note_planned_arrival(t + host.link_latency(from, to) - 1, to);
@@ -118,16 +148,20 @@ bool StreamingCodePolicy::emit_parity_use(RecoveryHost& host, Slot t,
   return true;
 }
 
-void StreamingCodePolicy::emit(RecoveryHost& host, Slot t,
-                               std::vector<Tx>& out) {
-  for (auto& [key, link] : code_links_) {
+void StreamingCodePolicy::emit(
+    RecoveryHost& host, Slot t,
+    // lint: allow(hot-path-alloc) — the slot's output list
+    std::vector<Tx>& out) {
+  for (const std::uint32_t slot : code_links_.order()) {
+    const auto [from, to] = code_links_.link(slot);
+    Link& link = code_links_.at_slot(slot);
     // Relay forwarding: re-inject ids the dense schedule skipped past, as
     // regular parity-protected data uses.
-    if (!link.skipped.empty()) forward_skipped(host, t, key, link, out);
+    if (!link.skipped.empty()) forward_skipped(host, t, from, to, link, out);
     // Cadence parity: one parity use per T credit (B credit per data use),
     // i.e. the code's B:T parity:data ratio.
     while (link.credit >= static_cast<std::int64_t>(decode_delay_)) {
-      if (!emit_parity_use(host, t, key, link, out)) break;
+      if (!emit_parity_use(host, t, from, to, link, out)) break;
       link.credit -= static_cast<std::int64_t>(decode_delay_);
     }
     // Window flush: an undecided erasure at index i needs the link's index
@@ -135,8 +169,8 @@ void StreamingCodePolicy::emit(RecoveryHost& host, Slot t,
     // schedule goes quiet (end of stream, drain), keep the stream moving
     // with extra parity uses until every open window is full.
     if (!link.open.empty() &&
-        link.next_index <= *link.open.rbegin() + decode_delay_) {
-      emit_parity_use(host, t, key, link, out);
+        link.next_index <= link.open.back() + decode_delay_) {
+      emit_parity_use(host, t, from, to, link, out);
     }
   }
 }
@@ -145,14 +179,14 @@ void StreamingCodePolicy::note_erasure_run(RecoveryHost& host, Link& link,
                                            UseIndex idx) {
   UseIndex s = idx;
   while (true) {
-    const auto it = link.uses.find(s - 1);
-    if (it == link.uses.end() || it->second.state != UseState::kErased) break;
+    const Use* use = find_use(link, s - 1);
+    if (use == nullptr || use->state != UseState::kErased) break;
     --s;
   }
   UseIndex e = idx;
   while (true) {
-    const auto it = link.uses.find(e + 1);
-    if (it == link.uses.end() || it->second.state != UseState::kErased) break;
+    const Use* use = find_use(link, e + 1);
+    if (use == nullptr || use->state != UseState::kErased) break;
     ++e;
   }
   host.stats().max_erasure_run =
@@ -161,35 +195,42 @@ void StreamingCodePolicy::note_erasure_run(RecoveryHost& host, Link& link,
 
 void StreamingCodePolicy::finalize_data_use(RecoveryHost& host, Slot t,
                                             const Tx& tx, UseState state) {
-  const auto link_it = code_links_.find({tx.from, tx.to});
-  if (link_it == code_links_.end()) return;
-  Link& link = link_it->second;
-  const auto idx_it = link.index_of.find(tx.packet);
-  if (idx_it == link.index_of.end()) return;
-  const UseIndex idx = idx_it->second;
-  link.index_of.erase(idx_it);
-  Use& use = link.uses.at(idx);
-  use.state = state;
+  Link* link = code_links_.find(tx.from, tx.to);
+  if (link == nullptr) return;
+  const auto in_flight =
+      std::ranges::find(link->pending_data, tx.packet, &InFlight::id);
+  if (in_flight == link->pending_data.end()) return;
+  const UseIndex idx = in_flight->index;
+  link->pending_data.erase(in_flight);
+  use_at(*link, idx).state = state;
   --pending_uses_;
   if (state == UseState::kErased) {
-    link.open.insert(idx);
+    link->open.insert(std::ranges::upper_bound(link->open, idx), idx);
     ++undecided_;
-    note_erasure_run(host, link, idx);
+    note_erasure_run(host, *link, idx);
   } else {
     // A later transmission of the same packet got through: any open erased
     // use of it on this link is naturally repaired and needs no decode.
-    for (auto it = link.open.begin(); it != link.open.end();) {
-      Use& prior = link.uses.at(*it);
-      if (!prior.decided && prior.tx.packet == tx.packet) {
-        prior.decided = true;
-        it = link.open.erase(it);
-        --undecided_;
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(link->open, [&](UseIndex open) {
+      Use& prior = use_at(*link, open);
+      if (prior.decided || prior.tx.packet != tx.packet) return false;
+      prior.decided = true;
+      --undecided_;
+      return true;
+    });
   }
-  settle(host, t, link);
+  settle(host, t, *link);
+}
+
+bool StreamingCodePolicy::finalize_parity_use(Link& link, PacketId id,
+                                              UseIndex* idx) {
+  const auto in_flight =
+      std::ranges::find(link.pending_parity, id, &InFlight::id);
+  if (in_flight == link.pending_parity.end()) return false;
+  *idx = in_flight->index;
+  link.pending_parity.erase(in_flight);
+  --pending_uses_;
+  return true;
 }
 
 void StreamingCodePolicy::on_data_arrival(RecoveryHost& host, Slot t,
@@ -204,82 +245,72 @@ void StreamingCodePolicy::on_data_drop(RecoveryHost& host,
 
 void StreamingCodePolicy::on_control_arrival(RecoveryHost& host, Slot t,
                                              const Tx& tx) {
-  const auto it = parity_at_.find(tx.packet);
-  if (it == parity_at_.end()) return;
-  const auto [key, idx] = it->second;
-  parity_at_.erase(it);
-  Link& link = code_links_.at(key);
-  link.uses.at(idx).state = UseState::kArrived;
-  --pending_uses_;
-  settle(host, t, link);
+  Link* link = code_links_.find(tx.from, tx.to);
+  UseIndex idx = 0;
+  if (link == nullptr || !finalize_parity_use(*link, tx.packet, &idx)) return;
+  use_at(*link, idx).state = UseState::kArrived;
+  settle(host, t, *link);
 }
 
 void StreamingCodePolicy::on_control_drop(RecoveryHost& host,
                                           const sim::Drop& d) {
-  const auto it = parity_at_.find(d.tx.packet);
-  if (it == parity_at_.end()) return;
-  const auto [key, idx] = it->second;
-  parity_at_.erase(it);
-  Link& link = code_links_.at(key);
-  Use& use = link.uses.at(idx);
-  use.state = UseState::kErased;
+  Link* link = code_links_.find(d.tx.from, d.tx.to);
+  UseIndex idx = 0;
+  if (link == nullptr || !finalize_parity_use(*link, d.tx.packet, &idx)) {
+    return;
+  }
   // An erased parity use carries no stream gap of its own, but it extends
   // the channel's erasure run and can collide with an open decode window.
+  Use& use = use_at(*link, idx);
+  use.state = UseState::kErased;
   use.decided = true;
-  --pending_uses_;
-  note_erasure_run(host, link, idx);
-  settle(host, d.would_arrive, link);
+  note_erasure_run(host, *link, idx);
+  settle(host, d.would_arrive, *link);
 }
 
-void StreamingCodePolicy::decide(RecoveryHost& /*host*/, Link& link,
-                                 UseIndex idx) {
-  Use& use = link.uses.at(idx);
+void StreamingCodePolicy::decide(Link& link, UseIndex idx) {
+  Use& use = use_at(link, idx);
   if (use.decided) return;
   use.decided = true;
-  if (!use.parity) {
-    link.open.erase(idx);
-    --undecided_;
-  }
+  if (!use.parity) --undecided_;  // settle() drops it from `open`
 }
 
 void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
-  const std::vector<UseIndex> open_snapshot(link.open.begin(),
-                                            link.open.end());
-  for (const UseIndex idx : open_snapshot) {
-    if (!link.open.contains(idx)) continue;  // decided by an earlier run
+  // Decisions below only mark uses decided (and never add an open
+  // erasure), so the ascending walk over `open` sees exactly the entries a
+  // snapshot taken here would; decided ones are dropped at the end.
+  for (std::size_t i = 0; i < link.open.size(); ++i) {
+    const UseIndex idx = link.open[i];
+    if (use_at(link, idx).decided) continue;  // decided by an earlier run
     // The maximal erasure run [s, e] containing idx. Channel uses finalize
     // in index order per link, so everything inside is final.
     UseIndex s = idx;
     while (true) {
-      const auto it = link.uses.find(s - 1);
-      if (it == link.uses.end() || it->second.state != UseState::kErased) {
-        break;
-      }
+      const Use* use = find_use(link, s - 1);
+      if (use == nullptr || use->state != UseState::kErased) break;
       --s;
     }
     UseIndex e = idx;
     while (true) {
-      const auto it = link.uses.find(e + 1);
-      if (it == link.uses.end() || it->second.state != UseState::kErased) {
-        break;
-      }
+      const Use* use = find_use(link, e + 1);
+      if (use == nullptr || use->state != UseState::kErased) break;
       ++e;
     }
 
     const auto declare_unrecoverable = [&](UseIndex lo, UseIndex hi) {
       for (UseIndex j = lo; j <= hi; ++j) {
-        const auto it = link.uses.find(j);
-        if (it == link.uses.end()) continue;
-        Use& use = it->second;
-        if (use.state != UseState::kErased || use.decided) continue;
-        if (!use.parity) {
+        const Use* found = find_use(link, j);
+        if (found == nullptr) continue;
+        if (found->state != UseState::kErased || found->decided) continue;
+        if (!found->parity) {
           ++host.stats().unrecoverable;
-          if (!host.has_arrived(use.tx.to, use.tx.packet)) {
-            lost_.insert({use.tx.to, use.tx.packet});
-            host.abandon_gap(t, use.tx.to, use.tx.packet);
+          const Tx gap = found->tx;
+          if (!host.has_arrived(gap.to, gap.packet)) {
+            mark_lost(gap.to, gap.packet);
+            host.abandon_gap(t, gap.to, gap.packet);
           }
         }
-        decide(host, link, j);
+        decide(link, j);
       }
     };
 
@@ -296,12 +327,12 @@ void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
     bool collision = false;
     for (UseIndex k = e + 1; k <= idx + static_cast<UseIndex>(decode_delay_);
          ++k) {
-      const auto it = link.uses.find(k);
-      if (it == link.uses.end() || it->second.state == UseState::kPending) {
+      const Use* use = find_use(link, k);
+      if (use == nullptr || use->state == UseState::kPending) {
         wait = true;
         break;
       }
-      if (it->second.state == UseState::kErased) {
+      if (use->state == UseState::kErased) {
         collision = true;
         break;
       }
@@ -314,13 +345,38 @@ void StreamingCodePolicy::settle(RecoveryHost& host, Slot t, Link& link) {
     if (wait) continue;
 
     // All of (e, idx + T] arrived: the BLK code recovers position idx.
-    Use& use = link.uses.at(idx);
-    if (!host.has_arrived(use.tx.to, use.tx.packet)) {
+    const Tx decoded = use_at(link, idx).tx;
+    if (!host.has_arrived(decoded.to, decoded.packet)) {
       ++host.stats().fec_decodes;
-      host.ingest_decoded(t, use.tx);
+      host.ingest_decoded(t, decoded);
     }
-    decide(host, link, idx);
+    decide(link, idx);
   }
+  std::erase_if(link.open,
+                [&](UseIndex idx) { return use_at(link, idx).decided; });
+  prune(link);
+}
+
+void StreamingCodePolicy::prune(Link& link) {
+  // Later reads start at the oldest open erasure or use on the wire (or at
+  // the next use) and walk back only across erased uses.
+  UseIndex keep = link.next_index;
+  if (!link.open.empty()) keep = std::min(keep, link.open.front());
+  for (const InFlight& use : link.pending_data) {
+    keep = std::min(keep, use.index);
+  }
+  for (const InFlight& use : link.pending_parity) {
+    keep = std::min(keep, use.index);
+  }
+  while (keep > link.first &&
+         use_at(link, keep - 1).state == UseState::kErased) {
+    --keep;
+  }
+  if (keep - link.first < kPruneBatch) return;
+  link.uses.erase(link.uses.begin(),
+                  link.uses.begin() +
+                      static_cast<std::ptrdiff_t>(keep - link.first));
+  link.first = keep;
 }
 
 }  // namespace streamcast::policy

@@ -96,7 +96,8 @@ def main() -> int:
     expect_clean("sweep capture: named captures stay clean",
                  HERE / "sweep_capture" / "clean")
 
-    # hot-path-alloc: tagged files ban raw new / std::vector spellings.
+    # hot-path-alloc: tagged files ban raw new, std::vector and node-based
+    # container spellings.
     expect_finding("hot-path alloc: raw new flagged in tagged file",
                    HERE / "hot_path_alloc" / "bad",
                    "hot-path-alloc", "hot.cpp")
@@ -104,6 +105,13 @@ def main() -> int:
     check("hot-path alloc: vector spelling also flagged",
           code == 1 and sum("[hot-path-alloc]" in line
                             for line in out.splitlines()) >= 2, out)
+    for container in ("map", "set", "multimap", "multiset", "unordered_set",
+                      "unordered_map", "list", "deque"):
+        check(f"hot-path alloc: std::{container} spelling flagged",
+              code == 1 and any(
+                  "[hot-path-alloc]" in line and "hot_nodes.cpp" in line
+                  and f"std::{container}<" in line
+                  for line in out.splitlines()), out)
     expect_clean("hot-path alloc: arena alias + allow markers stay clean",
                  HERE / "hot_path_alloc" / "clean")
 
