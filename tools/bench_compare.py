@@ -18,6 +18,11 @@ Scale benches (a ``curve`` array, from bench/perf_scale): the gate checks
 ``byte_identical`` and ``within_budget``, then compares replay nodes/sec at
 every N the two curves share.
 
+The run's own integrity checks — ``byte_identical`` (both benches) and
+``within_budget`` (scale bench) — run first and judge the current run
+alone, so no baseline policy can skip them: a run that fails one exits 1
+whatever the flags.
+
 Single-thread baselines: a baseline recorded with ``hardware_threads: 1``
 cannot say anything about parallel speedup (its own speedup is ~1.0 by
 construction). When the *current* run also comes from a 1-thread host the
@@ -25,8 +30,9 @@ comparison still runs with a loud warning (like vs like); when the current
 host has more than one hardware thread the stale baseline is a hard
 failure — pass ``--refresh-single-thread-baseline`` to adopt the current
 multi-core run as the new baseline instead of failing (the CI perf job
-does this, self-healing a baseline captured on a 1-core container). Any
-``warnings`` array embedded in the baseline JSON is echoed either way.
+does this, self-healing a baseline captured on a 1-core container). Only a
+run that passed its integrity checks is adopted. Any ``warnings`` array
+embedded in the baseline JSON is echoed either way.
 
 Scheme filters: perf_sweep emits the canonical scheme names its grid
 covered as a ``schemes`` array (it accepts ``--schemes=a,b`` to restrict
@@ -100,10 +106,33 @@ def check_single_thread_baseline(current: dict, baseline: dict,
     return []
 
 
+def integrity_failures(current: dict, scale: bool) -> list[str]:
+    """Checks that judge the current run alone, before any baseline
+    policy: determinism, and for scale runs the memory budget."""
+    failures: list[str] = []
+    if scale:
+        if not current.get("within_budget", False):
+            failures.append("scale run exceeded its declared memory budget")
+        if not current.get("byte_identical", False):
+            failures.append("closed-form replay does not byte-match the "
+                            "per-slot pump")
+    elif not current.get("byte_identical", False):
+        failures.append("parallel reports are not byte-identical to serial")
+    return failures
+
+
+def report(failures: list[str], passed: str = "PASS") -> int:
+    if failures:
+        print("bench_compare: FAIL")
+        for failure in failures:
+            print(f"  - {failure}")
+        return 1
+    print(f"bench_compare: {passed}")
+    return 0
+
+
 def compare_scale(current: dict, baseline: dict, tolerance: float,
                   failures: list[str]) -> None:
-    if not current.get("within_budget", False):
-        failures.append("scale run exceeded its declared memory budget")
     base_points = {p["n"]: p for p in baseline.get("curve", [])}
     for point in current.get("curve", []):
         base = base_points.get(point["n"])
@@ -151,14 +180,18 @@ def main() -> int:
 
     print(f"bench_compare: {args.current} vs {args.baseline} "
           f"(tolerance {args.tolerance:.0%})")
+    failures += integrity_failures(current, "curve" in current)
     stale = check_single_thread_baseline(current, baseline, args.baseline)
     if stale:
-        if args.refresh_single_thread_baseline:
+        if args.refresh_single_thread_baseline and not failures:
             shutil.copyfile(args.current, args.baseline)
             print(f"bench_compare: 1-thread baseline {args.baseline} "
                   f"refreshed with this multi-core run "
                   f"(hardware_threads: {current.get('hardware_threads')})")
             return 0
+        if args.refresh_single_thread_baseline:
+            print("bench_compare: not adopting a run that failed its "
+                  "integrity checks as the new baseline")
         failures += stale
 
     if "curve" in current or "curve" in baseline:
@@ -166,20 +199,8 @@ def main() -> int:
             failures.append("scale curve present in only one of the two "
                             "files; compare like with like")
         else:
-            if not current.get("byte_identical", False):
-                failures.append("closed-form replay does not byte-match the "
-                                "per-slot pump")
             compare_scale(current, baseline, args.tolerance, failures)
-        if failures:
-            print("bench_compare: FAIL")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("bench_compare: PASS")
-        return 0
-
-    if not current.get("byte_identical", False):
-        failures.append("parallel reports are not byte-identical to serial")
+        return report(failures)
 
     cur_schemes = current.get("schemes")
     if args.schemes is not None:
@@ -221,13 +242,7 @@ def main() -> int:
             print(f"  WARNING: baseline predates scheme(s) {new}; the "
                   f"throughput gate is inactive until the baseline is "
                   f"refreshed with --update")
-        if failures:
-            print("bench_compare: FAIL")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("bench_compare: PASS (determinism only)")
-        return 0
+        return report(failures, "PASS (determinism only)")
 
     failures += check_ratio(
         "serial slots/sec",
@@ -261,13 +276,7 @@ def main() -> int:
         print(f"  parallel metrics skipped: thread counts differ "
               f"({cur_threads} vs baseline {base_threads})")
 
-    if failures:
-        print("bench_compare: FAIL")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print("bench_compare: PASS")
-    return 0
+    return report(failures)
 
 
 if __name__ == "__main__":
