@@ -1,12 +1,11 @@
-// BENCH_scale — million-node closed-form replay and scale-stack harness.
+// BENCH_scale — million-node closed-form replay harness.
 //
 // Runs the structured multi-tree scheme (d = 3, kPreRecorded) over an
 // N = 10^3 .. 10^6 curve. At every point the closed-form replay
 // (scale::replay_structured via StreamingSession) is timed best-of-kReps;
 // at points small enough to simulate (N <= kPumpMaxN) the per-slot pump is
-// also run — with the exact recorder stack below the sketch threshold and
-// the scale recorder stack above it, exercising both families — and its
-// serialized QosReport must be byte-identical to the replay's.
+// also run, and its serialized QosReport must be byte-identical to the
+// replay's.
 //
 // Emits a JSON report (argv[1], default ./BENCH_scale.json) with a "curve"
 // array of per-N stats, which tools/bench_compare.py diffs against the
@@ -41,9 +40,7 @@ using core::SessionConfig;
 
 constexpr sim::NodeKey kCurve[] = {1'000, 10'000, 100'000, 1'000'000};
 constexpr int kDegree = 3;
-/// Largest N the per-slot pump verifies against the replay. 10^5 keeps the
-/// check above the default sketch threshold (50k), so the scale recorder
-/// stack is byte-checked too, not just the exact one.
+/// Largest N the per-slot pump verifies against the replay.
 constexpr sim::NodeKey kPumpMaxN = 100'000;
 constexpr int kReps = 3;
 constexpr double kMaxReplaySeconds = 10.0;
@@ -54,7 +51,6 @@ struct Point {
   double pump_s = 0;
   bool pump_checked = false;
   bool pump_match = true;
-  bool scale_stack = false;
   std::size_t bytes_peak = 0;
   std::size_t budget_bytes = 0;
   core::ScaleRunResult replay;
@@ -83,13 +79,10 @@ Point measure(sim::NodeKey n) {
   p.bytes_peak = p.replay.summary.bytes_peak;
   p.budget_bytes = p.replay.summary.budget_bytes;
 
-  // Pump check: simulate every slot with the default recorder stack (exact
-  // below the sketch threshold, scale above it) and compare bytes.
+  // Pump check: simulate every slot and compare bytes.
   if (n <= kPumpMaxN) {
     SessionConfig pump_cfg = base_config(n);
     pump_cfg.scale.allow_replay = false;
-    p.scale_stack = pump_cfg.scale.sketch_threshold > 0 &&
-                    n + 1 >= pump_cfg.scale.sketch_threshold;
     const auto start = std::chrono::steady_clock::now();
     const core::QosReport pump = core::StreamingSession(pump_cfg).run();
     const auto stop = std::chrono::steady_clock::now();
@@ -112,7 +105,6 @@ void emit_point(std::ostream& os, const Point& p) {
      << ", \"replay_nodes_per_sec\": " << nodes_per_sec
      << ", \"pump_checked\": " << (p.pump_checked ? "true" : "false")
      << ", \"pump_s\": " << p.pump_s
-     << ", \"scale_stack\": " << (p.scale_stack ? "true" : "false")
      << ", \"bytes_peak\": " << p.bytes_peak
      << ", \"worst_delay\": " << p.replay.qos.worst_delay
      << ", \"max_buffer\": " << p.replay.qos.max_buffer
@@ -127,7 +119,7 @@ void emit_point(std::ostream& os, const Point& p) {
 int main(int argc, char** argv) {
   using namespace streamcast;
   bench::banner("BENCH_scale",
-                "closed-form replay + scale recorder stack at N up to 10^6");
+                "closed-form replay at N up to 10^6, pump-checked to 10^5");
 
   std::string out_path = "BENCH_scale.json";
   sim::NodeKey max_n = std::numeric_limits<sim::NodeKey>::max();
@@ -151,8 +143,7 @@ int main(int argc, char** argv) {
     std::cout << "n=" << p.n << "  replay " << p.replay_s << " s ("
               << static_cast<double>(p.n) / p.replay_s << " nodes/s)";
     if (p.pump_checked) {
-      std::cout << "  pump " << p.pump_s << " s ["
-                << (p.scale_stack ? "scale" : "exact") << " stack] "
+      std::cout << "  pump " << p.pump_s << " s "
                 << (p.pump_match ? "match" : "MISMATCH");
     }
     std::cout << "  peak " << p.bytes_peak << " B\n";

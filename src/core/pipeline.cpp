@@ -2,72 +2,28 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <set>
 #include <stdexcept>
 
 #include "src/metrics/buffers.hpp"
-#include "src/policy/registry.hpp"
 #include "src/scale/sketch.hpp"
 
 namespace streamcast::core {
 
-namespace {
-
-/// The O(node_span) footprint of the exact recorder family, charged before
-/// construction so even the exact stack fails fast instead of OOM-ing.
-/// Neighbor sets are charged at their container-header size only — their
-/// element count is degree-bounded, not node-bounded.
-std::size_t exact_stack_bytes(const ObserverSpec& spec) {
-  const auto span = static_cast<std::size_t>(spec.node_span);
-  const auto window = static_cast<std::size_t>(spec.window);
-  std::size_t bytes = span * window * sizeof(Slot) +  // delay arrivals
-                      span * sizeof(PacketId);        // delay missing counts
-  bytes += span * sizeof(std::set<NodeKey>);          // neighbor set headers
-  if (spec.continuity) {
-    bytes += span * window * sizeof(Slot) +  // continuity arrivals
-             span * 3 * sizeof(std::int64_t);
-  }
-  return bytes;
-}
-
-}  // namespace
-
 ObserverStack::ObserverStack(const net::Topology& topology,
                              const ObserverSpec& spec,
                              util::BudgetLedger* ledger)
-    : trace_(spec.trace) {
-  // Continuity runs keep the exact family: the stall metrics need the
-  // per-packet minimum-arrival semantics the scale encoding does not keep.
-  const bool scaled =
-      !spec.continuity &&
-      (spec.force_scale || (spec.scale.sketch_threshold > 0 &&
-                            spec.node_span >= spec.scale.sketch_threshold));
-  if (scaled) {
-    scale_delays_.emplace(spec.node_span, spec.window, ledger);
-    scale_neighbors_.emplace(spec.node_span, spec.scale.neighbor_cap, ledger);
-  } else {
-    if (ledger != nullptr) {
-      ledger->charge("core/exact-recorders", exact_stack_bytes(spec));
-    }
-    delays_.emplace(spec.node_span, spec.window);
-    neighbors_.emplace(spec.node_span);
-    if (spec.continuity) continuity_.emplace(spec.node_span, spec.window);
-  }
+    : delays_(spec.node_span, spec.window, ledger),
+      neighbors_(spec.node_span, ledger),
+      trace_(spec.trace) {
+  if (spec.continuity) continuity_.emplace(delays_);
   if (spec.audit) auditor_.emplace(topology, spec.audit_options);
 }
 
 void ObserverStack::attach(sim::Engine& engine,
                            loss::RecoveryProtocol* recovery) {
-  sim::DeliveryObserver* delay_obs =
-      scaled() ? static_cast<sim::DeliveryObserver*>(&*scale_delays_)
-               : static_cast<sim::DeliveryObserver*>(&*delays_);
-  sim::DeliveryObserver* neighbor_obs =
-      scaled() ? static_cast<sim::DeliveryObserver*>(&*scale_neighbors_)
-               : static_cast<sim::DeliveryObserver*>(&*neighbors_);
   if (recovery == nullptr) {
-    engine.add_observer(*delay_obs);
-    engine.add_observer(*neighbor_obs);
+    engine.add_observer(delays_);
+    engine.add_observer(neighbors_);
     // Reliable startup runs: the continuity recorder watches the engine
     // directly (there is no recovery layer to observe). Historical lossless
     // paths never request continuity, so their wiring is unchanged.
@@ -77,8 +33,8 @@ void ObserverStack::attach(sim::Engine& engine,
   if (recovery != nullptr) {
     // Metrics observe the post-repair stream (repairs and FEC decodes count
     // as arrivals), so they attach to the recovery layer, not the engine.
-    recovery->add_observer(*delay_obs);
-    recovery->add_observer(*neighbor_obs);
+    recovery->add_observer(delays_);
+    recovery->add_observer(neighbors_);
     if (continuity_) recovery->add_observer(*continuity_);
   }
   if (trace_ != nullptr) engine.add_observer(*trace_);
@@ -150,10 +106,8 @@ QosReport aggregate_qos(const Aggregation& agg, const AggregateInputs& in,
   NodeKey complete = 0;
   std::vector<Slot> row;
   for (const NodeKey key : agg.receivers) {
-    const ObserverStack& stack = in.stack_of(key);
-    const bool scaled = stack.scaled();
-    const auto a = scaled ? stack.scale_delays().playback_delay(key)
-                          : stack.delays().playback_delay(key);
+    const metrics::DelayRecorder& delays = in.stack_of(key).delays();
+    const auto a = delays.playback_delay(key);
     if (!a) {
       if (!agg.skip_incomplete) {
         throw std::logic_error("receiver window incomplete");
@@ -163,14 +117,7 @@ QosReport aggregate_qos(const Aggregation& agg, const AggregateInputs& in,
     }
     report.worst_delay = std::max(report.worst_delay, *a);
     delay_sum += static_cast<double>(*a);
-    if (scaled) {
-      stack.scale_delays().arrivals(key, row);
-    } else {
-      row.resize(static_cast<std::size_t>(in.window));
-      for (PacketId j = 0; j < in.window; ++j) {
-        row[static_cast<std::size_t>(j)] = stack.delays().arrival(key, j);
-      }
-    }
+    delays.arrivals(key, row);
     const std::size_t occ = metrics::max_buffer_occupancy(row, *a);
     report.max_buffer = std::max(report.max_buffer, occ);
     buffer_sum += static_cast<double>(occ);
@@ -189,10 +136,7 @@ QosReport aggregate_qos(const Aggregation& agg, const AggregateInputs& in,
   // were observed either way.
   double neighbor_sum = 0;
   for (const NodeKey key : agg.receivers) {
-    const ObserverStack& stack = in.stack_of(key);
-    const std::size_t count = stack.scaled()
-                                  ? stack.scale_neighbors().count(key)
-                                             : stack.neighbors().count(key);
+    const std::size_t count = in.stack_of(key).neighbors().count(key);
     report.max_neighbors = std::max(report.max_neighbors, count);
     neighbor_sum += static_cast<double>(count);
   }
@@ -219,7 +163,6 @@ QosReport RunPipeline::aggregate(const Aggregation& agg, NodeKey* incomplete,
   in.stack_of = [this](NodeKey) -> const ObserverStack& { return observers_; };
   in.stats = engine_.stats();
   in.end = end_;
-  in.window = window_;
   in.scale = scale_options_;
   in.ledger = &ledger_;
   return aggregate_qos(agg, in, incomplete, summary);
@@ -295,13 +238,6 @@ LossSummary RunPipeline::loss_summary(const LossConfig& loss,
     }
   }
   return summary;
-}
-
-LossSummary RunPipeline::loss_summary(const LossConfig& loss, NodeKey from,
-                                      NodeKey to, Slot worst_delay) const {
-  const std::unique_ptr<policy::StartupPolicy> fixed =
-      policy::startup_policy("fixed").make(policy::StartupOptions{});
-  return loss_summary(loss, *fixed, from, to, worst_delay);
 }
 
 StartupSummary RunPipeline::startup_summary(

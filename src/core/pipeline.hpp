@@ -15,15 +15,12 @@
 //    metric recorders to the recovery layer, so metrics observe the
 //    post-repair stream while the auditor watches the physical one.
 //
-// Scale stack (DESIGN.md §11): at or above ScaleOptions::sketch_threshold
-// nodes, lossless runs swap the exact recorders for the flat scale family
-// (ScaleDelayRecorder / ScaleNeighborRecorder). Aggregation arithmetic is
-// unchanged — the scale recorders reconstruct exact arrival rows — so the
-// QosReport is byte-identical either way (regression-tested); only the
-// memory layout and the optional distribution summaries differ. Every
-// pipeline allocation is charged against a util::BudgetLedger sized by
-// ScaleOptions::budget_bytes, so an oversized world fails fast with
-// BudgetExceeded instead of OOM-ing the host.
+// One recorder family (DESIGN.md §9, §11): every run records delays and
+// neighbors in the flat metrics layout, and the continuity recorder, when
+// attached, replays the delay recorder's arrival matrix instead of keeping
+// its own. Every pipeline allocation is charged against a
+// util::BudgetLedger sized by ScaleOptions::budget_bytes, so an oversized
+// world fails fast with BudgetExceeded instead of OOM-ing the host.
 #pragma once
 
 #include <functional>
@@ -62,40 +59,26 @@ struct ObserverSpec {
   sim::Trace* trace = nullptr;
   /// Scale-path thresholds, sketch accuracy, and the memory budget.
   scale::ScaleOptions scale{};
-  /// Use the scale recorders regardless of node_span (identity tests).
-  bool force_scale = false;
 };
 
-/// The observers of one run, constructed and wired in one place. Exactly one
-/// recorder family — exact or scale — is materialized, chosen by
-/// `ObserverSpec::scale.sketch_threshold` against `node_span` (continuity
-/// runs always keep the exact family: the stall metrics need per-packet
-/// minimum arrivals the scale encoding does not keep).
+/// The observers of one run, constructed and wired in one place: one delay
+/// and one neighbor recorder, charged to the ledger, plus the optional
+/// continuity recorder (reading the delay recorder's matrix), auditor and
+/// trace. Pinned in place: the continuity recorder refers to the delay
+/// recorder.
 class ObserverStack {
  public:
   ObserverStack(const net::Topology& topology, const ObserverSpec& spec,
                 util::BudgetLedger* ledger);
+  ObserverStack(const ObserverStack&) = delete;
+  ObserverStack& operator=(const ObserverStack&) = delete;
 
   /// Attaches everything in the contract order described above. `recovery`
   /// selects the lossy wiring (metrics observe the post-repair stream).
   void attach(sim::Engine& engine, loss::RecoveryProtocol* recovery);
 
-  /// True when this stack runs the scale recorder family.
-  bool scaled() const { return scale_delays_.has_value(); }
-
-  metrics::DelayRecorder& delays() { return *delays_; }
-  const metrics::DelayRecorder& delays() const { return *delays_; }
-  metrics::NeighborRecorder& neighbors() { return *neighbors_; }
-  const metrics::NeighborRecorder& neighbors() const { return *neighbors_; }
-  const scale::ScaleDelayRecorder& scale_delays() const {
-    return *scale_delays_;
-  }
-  const scale::ScaleNeighborRecorder& scale_neighbors() const {
-    return *scale_neighbors_;
-  }
-  metrics::ContinuityRecorder* continuity() {
-    return continuity_ ? &*continuity_ : nullptr;
-  }
+  const metrics::DelayRecorder& delays() const { return delays_; }
+  const metrics::NeighborRecorder& neighbors() const { return neighbors_; }
   const metrics::ContinuityRecorder* continuity() const {
     return continuity_ ? &*continuity_ : nullptr;
   }
@@ -108,10 +91,8 @@ class ObserverStack {
   void require_clean();
 
  private:
-  std::optional<metrics::DelayRecorder> delays_;
-  std::optional<metrics::NeighborRecorder> neighbors_;
-  std::optional<scale::ScaleDelayRecorder> scale_delays_;
-  std::optional<scale::ScaleNeighborRecorder> scale_neighbors_;
+  metrics::DelayRecorder delays_;
+  metrics::NeighborRecorder neighbors_;
   std::optional<metrics::ContinuityRecorder> continuity_;
   std::optional<audit::InvariantAuditor> auditor_;
   sim::Trace* trace_;
@@ -142,7 +123,6 @@ struct AggregateInputs {
   sim::EngineStats stats{};
   /// Last slot simulated.
   Slot end = 0;
-  PacketId window = 0;
   scale::ScaleOptions scale{};
   /// Memory accounting for ScaleSummary; may be null when no summary is
   /// requested.
@@ -178,15 +158,11 @@ class RunPipeline {
   void run(Slot horizon, DrainPolicy drain);
   void run(Slot horizon) { run(horizon, DrainPolicy{}); }
 
-  /// Historical spelling: the aggregation shape now lives at namespace
-  /// scope so the sharded runner can share it.
-  using Aggregation = core::Aggregation;
-
   /// Aggregates delay/buffer over (complete) receivers and neighbor counts
   /// over all receivers, plus the engine-level totals. `incomplete`, when
   /// given, receives the number of skipped receivers. `summary`, when
   /// given, additionally receives the sketched delay/buffer distributions
-  /// and the ledger's memory accounting (any stack).
+  /// and the ledger's memory accounting.
   QosReport aggregate(const Aggregation& agg, NodeKey* incomplete = nullptr,
                       scale::ScaleSummary* summary = nullptr) const;
 
@@ -199,11 +175,6 @@ class RunPipeline {
                            const policy::StartupPolicy& startup, NodeKey from,
                            NodeKey to, Slot worst_delay,
                            StartupSummary* startup_out = nullptr) const;
-
-  /// Historical spelling: the fixed startup policy (the configured
-  /// playback_start slot, else the worst delay).
-  LossSummary loss_summary(const LossConfig& loss, NodeKey from, NodeKey to,
-                           Slot worst_delay) const;
 
   /// The startup fold alone, for reliable runs observed with a continuity
   /// recorder (ObserverSpec::continuity on a lossless pipeline). Requires

@@ -84,16 +84,9 @@ struct StartupSummary {
   sim::Slot max_finish = 0;
 };
 
+/// Outcome of run_lossy() and run_startup() (whose reliable path leaves
+/// `loss` zeroed).
 struct LossRunResult {
-  QosReport qos;
-  LossSummary loss;
-  StartupSummary startup;
-};
-
-/// Startup-policy run outcome (StreamingSession::run_startup): the usual
-/// QoS report plus the startup fold; `loss` is meaningful only when the
-/// run was lossy.
-struct StartupRunResult {
   QosReport qos;
   LossSummary loss;
   StartupSummary startup;

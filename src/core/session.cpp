@@ -79,9 +79,9 @@ QosReport run_multicluster(const SessionConfig& config) {
 }
 
 /// Reliable single-cluster run through the pipeline. `summary`, when given,
-/// receives the sketched distributions (any recorder stack). `startup`, when
-/// given, additionally attaches a continuity recorder and folds the startup
-/// summary into `startup_out` (run_startup's lossless path).
+/// receives the sketched distributions. `startup`, when given, additionally
+/// attaches a continuity recorder and folds the startup summary into
+/// `startup_out` (run_startup's lossless path).
 QosReport run_reliable(const SessionConfig& config, scale::ScaleSummary* summary,
                        const policy::StartupPolicy* startup = nullptr,
                        StartupSummary* startup_out = nullptr) {
@@ -259,18 +259,12 @@ LossRunResult StreamingSession::run_lossy() const {
   return result;
 }
 
-StartupRunResult StreamingSession::run_startup() const {
+LossRunResult StreamingSession::run_startup() const {
   if (config_.clusters > 1) {
     throw std::invalid_argument("run_startup requires clusters == 1");
   }
-  StartupRunResult result;
-  if (config_.loss.model != loss::ErasureKind::kNone) {
-    LossRunResult lossy = run_lossy();
-    result.qos = lossy.qos;
-    result.loss = lossy.loss;
-    result.startup = lossy.startup;
-    return result;
-  }
+  if (config_.loss.model != loss::ErasureKind::kNone) return run_lossy();
+  LossRunResult result;
   const std::unique_ptr<policy::StartupPolicy> startup =
       policy::startup_policy(config_.startup.policy).make(config_.startup);
   result.qos = run_reliable(config_, nullptr, startup.get(), &result.startup);

@@ -38,10 +38,8 @@ class StreamingSession {
   ///
   /// Scale path (DESIGN.md §11): at or above config.scale.replay_threshold
   /// receivers an eligible run — see replay_eligible() — skips the slot
-  /// engine and replays the schedule in closed form; at or above
-  /// config.scale.sketch_threshold a simulated run swaps the exact
-  /// recorders for the streaming scale family. Both paths produce the same
-  /// QosReport bytes as the exact pump (regression-tested).
+  /// engine and replays the schedule in closed form, producing the same
+  /// QosReport bytes as the pump (regression-tested).
   QosReport run() const;
 
   /// run(), returning the sketched delay/buffer distributions and the
@@ -67,8 +65,9 @@ class StreamingSession {
   /// Startup-policy run for any single-cluster config: lossy configs go
   /// through run_lossy(); reliable configs simulate with a continuity
   /// recorder attached (never the closed-form replay — adaptive startup
-  /// decides from observed arrivals) and fold only the startup summary.
-  StartupRunResult run_startup() const;
+  /// decides from observed arrivals) and fold only the startup summary,
+  /// leaving `loss` zeroed.
+  LossRunResult run_startup() const;
 
   const SessionConfig& config() const { return config_; }
 

@@ -278,7 +278,6 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
   };
   in.stats = merged;
   in.end = horizon;
-  in.window = window;
   in.scale = config.scale;
   QosReport report =
       aggregate_qos({.label = scheme_label(config.scheme, clusters),

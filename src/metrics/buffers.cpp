@@ -50,13 +50,11 @@ std::vector<std::size_t> max_occupancies(const DelayRecorder& delays,
                                          NodeKey from, NodeKey to) {
   std::vector<std::size_t> out;
   out.reserve(static_cast<std::size_t>(to - from + 1));
+  std::vector<Slot> row;
   for (NodeKey n = from; n <= to; ++n) {
     const auto a = delays.playback_delay(n);
     if (!a) throw std::logic_error("incomplete node window");
-    std::vector<Slot> row(static_cast<std::size_t>(delays.window()));
-    for (PacketId j = 0; j < delays.window(); ++j) {
-      row[static_cast<std::size_t>(j)] = delays.arrival(n, j);
-    }
+    delays.arrivals(n, row);
     out.push_back(max_buffer_occupancy(row, *a));
   }
   return out;

@@ -1,48 +1,25 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/metrics/continuity.hpp"
-
-#include <cassert>
-
-#include "src/metrics/delay.hpp"
 
 namespace streamcast::metrics {
 
-ContinuityRecorder::ContinuityRecorder(NodeKey nodes, PacketId window)
-    : window_(window), nodes_(nodes) {
-  assert(nodes >= 1);
-  assert(window >= 1);
-  arrival_.assign(
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window),
-      kNeverArrived);
-}
+ContinuityRecorder::ContinuityRecorder(const DelayRecorder& arrivals)
+    : arrivals_(arrivals) {}
 
 void ContinuityRecorder::on_delivery(const Delivery& d) {
   if (d.tx.packet >= sim::kControlIdBase) {
     ++parity_;
-    return;
-  }
-  if (d.tx.retransmit) {
+  } else if (d.tx.retransmit) {
     ++retransmissions_;
   } else {
     ++data_;
   }
-  if (d.tx.packet >= window_) return;
-  if (d.tx.to < 0 || d.tx.to >= nodes_) return;
-  auto& cell = arrival_[static_cast<std::size_t>(d.tx.to) *
-                            static_cast<std::size_t>(window_) +
-                        static_cast<std::size_t>(d.tx.packet)];
-  if (cell == kNeverArrived || d.received < cell) cell = d.received;
-}
-
-Slot ContinuityRecorder::arrival(NodeKey node, PacketId p) const {
-  assert(p >= 0 && p < window_);
-  return row(node)[static_cast<std::size_t>(p)];
 }
 
 Slot ContinuityRecorder::first_arrival(NodeKey node) const {
-  const Slot* arrivals = row(node);
   Slot first = kNeverArrived;
-  for (PacketId j = 0; j < window_; ++j) {
-    const Slot got = arrivals[static_cast<std::size_t>(j)];
+  for (PacketId j = 0; j < arrivals_.window(); ++j) {
+    const Slot got = arrivals_.arrival(node, j);
     if (got == kNeverArrived) continue;
     if (first == kNeverArrived || got < first) first = got;
   }
@@ -52,12 +29,11 @@ Slot ContinuityRecorder::first_arrival(NodeKey node) const {
 ContinuityRecorder::Report ContinuityRecorder::report(NodeKey node,
                                                       Slot playback_start,
                                                       Slot horizon) const {
-  const Slot* arrivals = row(node);
   Report r;
   Slot t = playback_start;
   PacketId gap_run = 0;
-  for (PacketId j = 0; j < window_; ++j) {
-    const Slot got = arrivals[static_cast<std::size_t>(j)];
+  for (PacketId j = 0; j < arrivals_.window(); ++j) {
+    const Slot got = arrivals_.arrival(node, j);
     if (got == kNeverArrived || got >= horizon) {
       // Never decodable within the run: playback skips the packet.
       ++r.undecodable;

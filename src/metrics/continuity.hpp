@@ -1,3 +1,5 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
+//
 // Playback-continuity accounting — the smoothness axis of Joshi et al.
 // ("Throughput-Smoothness Trade-offs in Multicasting of an Ordered Packet
 // Stream") for lossy runs.
@@ -13,27 +15,27 @@
 // paper's delay metric and the stall metrics reported here (DESIGN.md,
 // "Loss & Recovery").
 //
-// Attach the recorder to the RecoveryProtocol (post-repair stream), not the
-// engine, so repaired and FEC-decoded packets count as arrivals; it also
-// tallies repair traffic (retransmissions, parity) for the redundancy
-// overhead figure.
+// The recorder owns no arrival matrix: it replays the rows of a
+// DelayRecorder that observes the same stream. Attach both to the
+// RecoveryProtocol (post-repair stream), not the engine, so repaired and
+// FEC-decoded packets count as arrivals; the recorder itself tallies repair
+// traffic (retransmissions, parity) for the redundancy overhead figure.
+// Playback reads first arrivals, which are the earliest arrivals: observed
+// streams deliver in slot order.
 #pragma once
 
 #include <vector>
 
+#include "src/metrics/delay.hpp"
 #include "src/sim/engine.hpp"
 
 namespace streamcast::metrics {
 
-using sim::Delivery;
-using sim::NodeKey;
-using sim::PacketId;
-using sim::Slot;
-
 class ContinuityRecorder final : public sim::DeliveryObserver {
  public:
-  /// Tracks nodes [0, nodes) and packets [0, window).
-  ContinuityRecorder(NodeKey nodes, PacketId window);
+  /// Replays the arrival rows of `arrivals`, which must observe the same
+  /// stream and outlive the recorder.
+  explicit ContinuityRecorder(const DelayRecorder& arrivals);
 
   void on_delivery(const Delivery& d) override;
 
@@ -46,6 +48,7 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
     PacketId undecodable = 0;
     /// Lengths of the maximal runs of undecodable packets (the gap
     /// distribution; empty when the stream is complete).
+    // lint: allow(hot-path-alloc) — per report, grows only at a gap's end
     std::vector<PacketId> gap_lengths;
     /// Slot after the last played packet (horizon if playback never
     /// finished).
@@ -55,9 +58,6 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
   /// Replays playback for `node` starting at slot `playback_start` with
   /// everything that arrived before `horizon`.
   Report report(NodeKey node, Slot playback_start, Slot horizon) const;
-
-  /// First arrival slot of packet p at node, or metrics::kNeverArrived.
-  Slot arrival(NodeKey node, PacketId p) const;
 
   /// Earliest arrival slot of any window packet at node, or
   /// metrics::kNeverArrived when nothing arrived (startup policies anchor
@@ -72,18 +72,8 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
   std::int64_t repair_deliveries() const { return retransmissions_; }
   std::int64_t parity_deliveries() const { return parity_; }
 
-  PacketId window() const { return window_; }
-
  private:
-  const Slot* row(NodeKey node) const {
-    return arrival_.data() +
-           static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
-  }
-
-  PacketId window_;
-  NodeKey nodes_;
-  /// Flat [node][packet] minimum-arrival matrix, stride window_.
-  std::vector<Slot> arrival_;
+  const DelayRecorder& arrivals_;
   std::int64_t data_ = 0;
   std::int64_t retransmissions_ = 0;
   std::int64_t parity_ = 0;

@@ -1,52 +1,65 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/metrics/delay.hpp"
 
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace streamcast::metrics {
 
-DelayRecorder::DelayRecorder(NodeKey nodes, PacketId window)
+DelayRecorder::DelayRecorder(NodeKey nodes, PacketId window,
+                             util::BudgetLedger* ledger)
     : window_(window) {
   assert(nodes >= 1);
   assert(window >= 1);
-  arrival_.assign(
-      static_cast<std::size_t>(nodes) * static_cast<std::size_t>(window),
-      kNeverArrived);
-  missing_.assign(static_cast<std::size_t>(nodes), window);
+  const auto span = static_cast<std::size_t>(nodes);
+  const std::size_t cells = span * static_cast<std::size_t>(window);
+  if (ledger != nullptr) {
+    ledger->charge("metrics/delay-recorder",
+                   cells * sizeof(std::int32_t) +
+                       span * (sizeof(PacketId) + sizeof(std::int32_t)));
+  }
+  delta_.assign(cells, kNoDelta);
+  missing_.assign(span, window);
+  best_.assign(span, kNoDelta);
 }
 
 void DelayRecorder::on_delivery(const Delivery& d) {
-  if (d.tx.packet >= window_) return;
-  if (d.tx.to >= nodes()) return;
-  auto& cell = row(d.tx.to)[static_cast<std::size_t>(d.tx.packet)];
-  if (cell == kNeverArrived) {
-    cell = d.received;
-    --missing_[static_cast<std::size_t>(d.tx.to)];
+  if (d.tx.packet < 0 || d.tx.packet >= window_) return;
+  if (d.tx.to < 0 || d.tx.to >= nodes()) return;
+  const auto node = static_cast<std::size_t>(d.tx.to);
+  std::int32_t& cell = delta_[node * static_cast<std::size_t>(window_) +
+                              static_cast<std::size_t>(d.tx.packet)];
+  if (cell != kNoDelta) return;  // the first arrival stands
+  const Slot delta = d.received - d.tx.packet;
+  // Deltas are bounded by the horizon, far inside int32; a schedule that
+  // breaks this would corrupt the encoding, so refuse loudly.
+  if (delta <= kNoDelta || delta > std::numeric_limits<std::int32_t>::max()) {
+    throw std::logic_error("arrival delta out of int32 range");
   }
+  cell = static_cast<std::int32_t>(delta);
+  --missing_[node];
+  best_[node] = std::max(best_[node], cell);
 }
 
-Slot DelayRecorder::arrival(NodeKey node, PacketId p) const {
-  assert(p >= 0 && p < window_);
-  return row(node)[static_cast<std::size_t>(p)];
-}
-
-bool DelayRecorder::complete(NodeKey node) const {
-  return missing_[static_cast<std::size_t>(node)] == 0;
+// lint: allow(hot-path-alloc) — caller-owned scratch row, reused
+void DelayRecorder::arrivals(NodeKey node, std::vector<Slot>& row) const {
+  row.resize(static_cast<std::size_t>(window_));
+  for (PacketId j = 0; j < window_; ++j) {
+    row[static_cast<std::size_t>(j)] = arrival(node, j);
+  }
 }
 
 std::optional<Slot> DelayRecorder::playback_delay(NodeKey node) const {
   if (!complete(node)) return std::nullopt;
-  const Slot* arrivals = row(node);
-  Slot a = 0;  // arrival(0) >= 0, so the max is never negative
-  for (PacketId j = 0; j < window_; ++j) {
-    a = std::max(a, arrivals[static_cast<std::size_t>(j)] - j);
-  }
-  return a;
+  // a = max(0, max_j delta_j): playback never starts before slot 0.
+  return std::max<Slot>(0, best_[static_cast<std::size_t>(node)]);
 }
 
+// lint: allow(hot-path-alloc) — aggregation-time result, once per call
 std::vector<Slot> DelayRecorder::delays(NodeKey from, NodeKey to) const {
-  std::vector<Slot> out;
+  std::vector<Slot> out;  // lint: allow(hot-path-alloc) — the result above
   out.reserve(static_cast<std::size_t>(to - from + 1));
   for (NodeKey n = from; n <= to; ++n) {
     const auto a = playback_delay(n);

@@ -1,12 +1,22 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
+//
 // Neighbor accounting: the paper's "communication requirement" metric is the
 // number of distinct nodes a node exchanges packets with (multi-tree: <= 2d;
 // hypercube: O(log N); Table 1).
+//
+// Layout (DESIGN.md §11): a flat kRowWidth-wide partner row per node plus a
+// one-byte fill count. A node that gains more partners than its row holds
+// spills into a flat pool of kRowWidth-wide blocks: the row keeps its first
+// kRowWidth - 1 partners and its last slot becomes the index of the node's
+// first block, and each block links to the next. Counts are exact at any
+// degree, and a recorder that never spills holds exactly the row matrix.
 #pragma once
 
-#include <set>
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/engine.hpp"
+#include "src/util/budget.hpp"
 
 namespace streamcast::metrics {
 
@@ -15,7 +25,14 @@ using sim::NodeKey;
 
 class NeighborRecorder final : public sim::DeliveryObserver {
  public:
-  explicit NeighborRecorder(NodeKey nodes);
+  /// Partners held in a node's row before it spills. Multi-tree receivers
+  /// need at most 2d; the hypercube's O(log N) passes 24 from N = 2 500.
+  static constexpr int kRowWidth = 24;
+
+  /// Tracks nodes [0, nodes). A non-null `ledger` is charged for the rows
+  /// before they are allocated, and for each overflow block as it is added.
+  explicit NeighborRecorder(NodeKey nodes,
+                            util::BudgetLedger* ledger = nullptr);
 
   void on_delivery(const Delivery& d) override;
 
@@ -26,10 +43,26 @@ class NeighborRecorder final : public sim::DeliveryObserver {
   std::size_t max_count(NodeKey from, NodeKey to) const;
   double mean_count(NodeKey from, NodeKey to) const;
 
-  const std::set<NodeKey>& neighbors(NodeKey node) const;
-
  private:
-  std::vector<std::set<NodeKey>> partners_;
+  /// used_ value of a node whose row has spilled into the pool.
+  static constexpr std::uint8_t kSpilled = 0xFF;
+
+  void insert(NodeKey node, NodeKey partner);
+  void spill(NodeKey* row, std::uint8_t& used, NodeKey partner);
+  /// Appends an empty block to the pool and returns its offset.
+  NodeKey new_block();
+
+  /// Flat [node][kRowWidth] partner ids.
+  // lint: allow(hot-path-alloc) — sized once in the constructor
+  std::vector<NodeKey> partners_;
+  /// Partners in each row, or kSpilled.
+  // lint: allow(hot-path-alloc) — sized once in the constructor
+  std::vector<std::uint8_t> used_;
+  /// Overflow blocks of kRowWidth ids: [next block or kNoNode, partners...],
+  /// with kNoNode marking empty partner slots.
+  // lint: allow(hot-path-alloc) — grows one block per spill, never shrinks
+  std::vector<NodeKey> pool_;
+  util::BudgetLedger* ledger_;
 };
 
 }  // namespace streamcast::metrics

@@ -11,10 +11,6 @@ namespace streamcast::scale {
 using sim::NodeKey;
 
 struct ScaleOptions {
-  /// Node-count threshold at/above which the RunPipeline observer stack
-  /// swaps the exact per-node recorders for the streaming scale family
-  /// (flat arrival deltas + GK sketches). 0 disables the automatic swap.
-  NodeKey sketch_threshold = 50'000;
   /// Node-count threshold at/above which an eligible session (structured
   /// multi-tree, lossless, kPreRecorded/kLivePrebuffered, no audit) skips
   /// the slot engine entirely and replays the periodic schedule in closed
@@ -27,10 +23,6 @@ struct ScaleOptions {
   /// Ceiling for per-node state allocations; exceeded => BudgetExceeded
   /// (fail fast, never OOM).
   std::size_t budget_bytes = std::size_t{1} << 31;  // 2 GiB
-  /// Distinct partners tracked per node by the flat neighbor recorder.
-  /// Multi-tree needs <= 2d; querying a node that overflowed the cap throws
-  /// (correct-or-error, never silently truncated).
-  int neighbor_cap = 24;
 };
 
 }  // namespace streamcast::scale

@@ -1,42 +1,18 @@
-// Streaming scale recorders (DESIGN.md §11): the O(N·W)-of-int64 exact
-// recorders of src/metrics replaced by budget-charged flat arrays.
-//
-// ScaleDelayRecorder stores one int32 arrival *delta* (recv − packet) per
-// (node, packet) cell — 4 bytes instead of the exact recorder's 8-byte slot
-// plus per-node heap rows — and keeps the per-node running max delta, so
-// playback delays are exact and O(1) at aggregation. The full arrival row
-// of any node can be reconstructed (arrival = packet + delta), which keeps
-// buffer-occupancy aggregation exact too: the scale stack is a memory
-// optimization, not an approximation; only the *distribution* summaries
-// (p50/p95/p99) are sketched.
-//
-// ScaleNeighborRecorder replaces the per-node std::set with a fixed-cap
-// flat partner array. A node that exceeds the cap is marked saturated, and
-// querying a saturated node throws — correct or error, never silently
-// truncated (receivers of every paper scheme stay within 2d or O(log N)).
+// The result block of a scale run (DESIGN.md §11).
 #pragma once
 
-#include <cstdint>
-#include <limits>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
-#include "src/scale/options.hpp"
 #include "src/scale/sketch.hpp"
-#include "src/sim/engine.hpp"
-#include "src/util/budget.hpp"
+#include "src/sim/packet.hpp"
 
 namespace streamcast::scale {
-
-using sim::Delivery;
-using sim::PacketId;
-using sim::Slot;
 
 /// Aggregate result block of a scale run: exact min/max/mean plus sketched
 /// quantiles for the playback-delay and buffer-occupancy distributions,
 /// and the ledger's memory accounting.
 struct ScaleSummary {
-  NodeKey nodes = 0;
+  sim::NodeKey nodes = 0;
   double epsilon = 0;
   /// True when the run came from the closed-form schedule replay instead of
   /// the slot engine.
@@ -45,63 +21,6 @@ struct ScaleSummary {
   std::size_t bytes_peak = 0;
   QuantileSummary delay;
   QuantileSummary buffer;
-};
-
-/// Sentinel delta for a packet that has not arrived.
-inline constexpr std::int32_t kNoDelta =
-    std::numeric_limits<std::int32_t>::min();
-
-class ScaleDelayRecorder final : public sim::DeliveryObserver {
- public:
-  /// Tracks nodes [0, nodes) and packets [0, window); charges the ledger
-  /// (when non-null) for the flat delta matrix before allocating.
-  ScaleDelayRecorder(NodeKey nodes, PacketId window,
-                     util::BudgetLedger* ledger);
-
-  void on_delivery(const Delivery& d) override;
-
-  bool complete(NodeKey node) const {
-    return missing_[static_cast<std::size_t>(node)] == 0;
-  }
-
-  /// Playback delay a(node) — identical to DelayRecorder::playback_delay.
-  std::optional<Slot> playback_delay(NodeKey node) const;
-
-  /// Reconstructs the node's window arrival row (arrival = packet + delta)
-  /// into `row`, resized to the window. Precondition: complete(node).
-  void arrivals(NodeKey node, std::vector<Slot>& row) const;
-
-  PacketId window() const { return window_; }
-  NodeKey nodes() const { return static_cast<NodeKey>(missing_.size()); }
-
- private:
-  PacketId window_;
-  /// Flat [node][packet] matrix of arrival deltas, stride window_.
-  std::vector<std::int32_t> delta_;
-  std::vector<PacketId> missing_;
-  /// Running max delta per node (kNoDelta until the first arrival).
-  std::vector<std::int32_t> best_;
-};
-
-class ScaleNeighborRecorder final : public sim::DeliveryObserver {
- public:
-  ScaleNeighborRecorder(NodeKey nodes, int cap, util::BudgetLedger* ledger);
-
-  void on_delivery(const Delivery& d) override;
-
-  /// Distinct partner count; throws std::logic_error if this node overflowed
-  /// the cap (raise ScaleOptions::neighbor_cap).
-  std::size_t count(NodeKey node) const;
-
- private:
-  void insert(NodeKey node, NodeKey partner);
-
-  int cap_;
-  /// Flat [node][slot] partner ids, stride cap_; kNoNode = empty slot.
-  std::vector<NodeKey> partners_;
-  /// Partners used per node; kSaturated marks an overflowed node.
-  std::vector<std::uint8_t> used_;
-  static constexpr std::uint8_t kSaturated = 0xFF;
 };
 
 }  // namespace streamcast::scale

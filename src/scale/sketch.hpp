@@ -1,8 +1,9 @@
 // Streaming distribution sketches for the million-node scale path
 // (DESIGN.md §11).
 //
-// Above the scale threshold the exact per-node histograms of the metric
-// layer are replaced by two O(polylog) streaming summaries per distribution:
+// A run that asks for distribution summaries (StreamingSession::run_scale)
+// folds the per-receiver delays and buffer occupancies into two O(polylog)
+// streaming summaries per distribution:
 //
 //  * StreamingMoments — exact count / min / max / mean. The mean sums
 //    doubles in feed order, so it is bit-identical to what the exact

@@ -2,7 +2,7 @@
 //
 // Large-N runs must fail fast with a structured error instead of OOM-killing
 // the process: every subsystem that allocates O(N) or O(N*W) state at scale
-// (the engine's flat packet bitmaps, the scale recorders' arrival deltas,
+// (the engine's flat packet bitmaps, the metric recorders' arrival deltas,
 // the quantile sketches) charges a shared BudgetLedger before allocating.
 // The ledger throws BudgetExceeded — carrying the component name and the
 // exact byte counts — the moment a charge would cross the caller's ceiling.

@@ -44,6 +44,18 @@ TEST(Session, HypercubeMatchesAnalysis) {
   EXPECT_LE(r.max_buffer, 3u);
 }
 
+TEST(Session, HypercubePastTheNeighborRowCountsExactly) {
+  // The smallest tier-1 hypercube with receivers at 25 distinct partners,
+  // one past NeighborRecorder's row: the report is the one the per-node
+  // std::set recorder produced.
+  EXPECT_EQ(serialize(run(Scheme::kHypercube, 2500, 1)),
+            "qos scheme=hypercube n=2500 d=1 worst_delay=35 "
+            "average_delay=13.182 max_buffer=2 average_buffer=1.9976 "
+            "max_neighbors=25 average_neighbors=10.484400000000001 "
+            "transmissions=269539 slots_simulated=120 drops=0 "
+            "retransmissions=0");
+}
+
 TEST(Session, HypercubeGroupedUsesSourceCapacity) {
   const auto r = run(Scheme::kHypercubeGrouped, 90, 3);
   EXPECT_EQ(r.worst_delay, hypercube::measured_worst_delay_grouped(90, 3));

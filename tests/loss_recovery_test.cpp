@@ -13,6 +13,7 @@
 #include "src/loss/model.hpp"
 #include "src/loss/recovery.hpp"
 #include "src/metrics/continuity.hpp"
+#include "src/metrics/delay.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/prng.hpp"
@@ -477,10 +478,25 @@ TEST(LossySession, MultiClusterWithLossRejected) {
 
 // --- playback-continuity metrics ------------------------------------------
 
+/// A continuity recorder over its own delay recorder, fed together — the
+/// pair the ObserverStack attaches to one stream.
+struct Continuity {
+  Continuity(NodeKey nodes, PacketId window) : delays(nodes, window) {}
+
+  void on_delivery(const Delivery& d) {
+    delays.on_delivery(d);
+    rec.on_delivery(d);
+  }
+
+  metrics::DelayRecorder delays;
+  metrics::ContinuityRecorder rec{delays};
+};
+
 TEST(ContinuityRecorder, StallsGapsAndFinish) {
-  metrics::ContinuityRecorder rec(2, 5);
+  Continuity c(2, 5);
+  const metrics::ContinuityRecorder& rec = c.rec;
   auto arrive = [&](PacketId p, Slot at) {
-    rec.on_delivery(Delivery{.sent = at, .received = at, .tx = tx(0, 1, p)});
+    c.on_delivery(Delivery{.sent = at, .received = at, .tx = tx(0, 1, p)});
   };
   arrive(0, 2);
   arrive(1, 3);
@@ -498,9 +514,10 @@ TEST(ContinuityRecorder, StallsGapsAndFinish) {
 }
 
 TEST(ContinuityRecorder, NoStallWhenEverythingArrivedBeforeStart) {
-  metrics::ContinuityRecorder rec(2, 4);
+  Continuity c(2, 4);
+  const metrics::ContinuityRecorder& rec = c.rec;
   for (PacketId p = 0; p < 4; ++p) {
-    rec.on_delivery(Delivery{.sent = p, .received = p, .tx = tx(0, 1, p)});
+    c.on_delivery(Delivery{.sent = p, .received = p, .tx = tx(0, 1, p)});
   }
   const auto r = rec.report(1, /*playback_start=*/4, /*horizon=*/100);
   EXPECT_EQ(r.stalls, 0);
@@ -511,9 +528,10 @@ TEST(ContinuityRecorder, NoStallWhenEverythingArrivedBeforeStart) {
 }
 
 TEST(ContinuityRecorder, TrailingGapAndAdjacentStalls) {
-  metrics::ContinuityRecorder rec(2, 4);
+  Continuity c(2, 4);
+  const metrics::ContinuityRecorder& rec = c.rec;
   auto arrive = [&](PacketId p, Slot at) {
-    rec.on_delivery(Delivery{.sent = at, .received = at, .tx = tx(0, 1, p)});
+    c.on_delivery(Delivery{.sent = at, .received = at, .tx = tx(0, 1, p)});
   };
   arrive(0, 5);
   arrive(1, 7);
@@ -527,14 +545,15 @@ TEST(ContinuityRecorder, TrailingGapAndAdjacentStalls) {
 }
 
 TEST(ContinuityRecorder, CountsRepairTrafficForOverhead) {
-  metrics::ContinuityRecorder rec(2, 8);
+  Continuity c(2, 8);
+  const metrics::ContinuityRecorder& rec = c.rec;
   for (PacketId p = 0; p < 4; ++p) {
-    rec.on_delivery(Delivery{.sent = p, .received = p, .tx = tx(0, 1, p)});
+    c.on_delivery(Delivery{.sent = p, .received = p, .tx = tx(0, 1, p)});
   }
   Tx repair = tx(0, 1, 4);
   repair.retransmit = true;
-  rec.on_delivery(Delivery{.sent = 5, .received = 5, .tx = repair});
-  rec.on_delivery(
+  c.on_delivery(Delivery{.sent = 5, .received = 5, .tx = repair});
+  c.on_delivery(
       Delivery{.sent = 6, .received = 6, .tx = tx(0, 1, sim::kControlIdBase)});
   EXPECT_EQ(rec.data_deliveries(), 4);
   EXPECT_EQ(rec.repair_deliveries(), 1);

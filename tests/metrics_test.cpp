@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <set>
+#include <vector>
+
 #include "src/metrics/buffers.hpp"
 #include "src/metrics/delay.hpp"
 #include "src/metrics/neighbors.hpp"
 #include "src/metrics/summary.hpp"
+#include "src/util/budget.hpp"
+#include "src/util/prng.hpp"
 
 namespace streamcast::metrics {
 namespace {
@@ -119,6 +127,210 @@ TEST(NeighborRecorder, CountsBothDirectionsDistinct) {
   EXPECT_EQ(rec.count(4), 0u);
   EXPECT_EQ(rec.max_count(1, 4), 3u);
   EXPECT_DOUBLE_EQ(rec.mean_count(1, 4), (3.0 + 1.0 + 1.0 + 0.0) / 4.0);
+}
+
+// --- the flat recorders against reference models --------------------------
+//
+// The models are the straightforward layouts the flat recorders replace: a
+// first-arrival Slot per (node, packet) and a std::set of partners per node.
+
+/// First-arrival reference for DelayRecorder.
+class DelayModel {
+ public:
+  DelayModel(NodeKey nodes, PacketId window)
+      : nodes_(nodes),
+        window_(window),
+        arrival_(static_cast<std::size_t>(nodes * window), kNeverArrived) {}
+
+  void deliver(NodeKey to, PacketId p, Slot at) {
+    if (to < 0 || to >= nodes_ || p < 0 || p >= window_) return;
+    Slot& cell = arrival_[static_cast<std::size_t>(to * window_ + p)];
+    if (cell == kNeverArrived) cell = at;
+  }
+
+  std::vector<Slot> row(NodeKey node) const {
+    const auto first = arrival_.begin() + node * window_;
+    return {first, first + window_};
+  }
+
+  std::optional<Slot> delay(NodeKey node) const {
+    Slot a = 0;
+    const std::vector<Slot> arrivals = row(node);
+    for (PacketId j = 0; j < window_; ++j) {
+      const Slot got = arrivals[static_cast<std::size_t>(j)];
+      if (got == kNeverArrived) return std::nullopt;
+      a = std::max(a, got - j);
+    }
+    return a;
+  }
+
+ private:
+  NodeKey nodes_;
+  PacketId window_;
+  std::vector<Slot> arrival_;
+};
+
+TEST(DelayRecorder, MatchesFirstArrivalModelUnderRandomDeliveries) {
+  constexpr NodeKey kNodes = 9;
+  constexpr PacketId kWindow = 12;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    util::Prng prng(seed);
+    DelayRecorder rec(kNodes, kWindow);
+    DelayModel model(kNodes, kWindow);
+    std::vector<Slot> row;
+    const auto agree = [&] {
+      for (NodeKey node = 0; node < kNodes; ++node) {
+        const std::vector<Slot> expected = model.row(node);
+        for (PacketId j = 0; j < kWindow; ++j) {
+          ASSERT_EQ(rec.arrival(node, j), expected[static_cast<std::size_t>(j)])
+              << "seed=" << seed << " node=" << node << " packet=" << j;
+        }
+        rec.arrivals(node, row);
+        ASSERT_EQ(row, expected);
+        ASSERT_EQ(rec.playback_delay(node), model.delay(node));
+        ASSERT_EQ(rec.complete(node), model.delay(node).has_value());
+      }
+    };
+    for (int batch = 0; batch < 60; ++batch) {
+      for (int i = 0; i < 10; ++i) {
+        // Node and packet ids reach one past each end of the tracked
+        // ranges; slots start at 0, so some packets arrive before their id,
+        // and repeated cells bring duplicates at earlier and later slots.
+        const auto to = static_cast<NodeKey>(prng.range(-1, kNodes));
+        const auto p = static_cast<PacketId>(prng.range(-1, kWindow));
+        const auto at = static_cast<Slot>(prng.range(0, 30));
+        rec.on_delivery(make(0, to, p, at));
+        model.deliver(to, p, at);
+      }
+      agree();
+    }
+    // A late sweep over every cell completes every node: duplicates where a
+    // packet already arrived, first arrivals elsewhere.
+    for (NodeKey node = 0; node < kNodes; ++node) {
+      for (PacketId p = 0; p < kWindow; ++p) {
+        rec.on_delivery(make(0, node, p, 40 + p));
+        model.deliver(node, p, 40 + p);
+      }
+    }
+    agree();
+    for (NodeKey node = 0; node < kNodes; ++node) {
+      EXPECT_TRUE(rec.complete(node)) << "seed=" << seed << " node=" << node;
+    }
+  }
+}
+
+TEST(DelayRecorder, LedgerChargesTheDeltaMatrix) {
+  util::BudgetLedger ledger(util::MemoryBudget{1 << 20});
+  const DelayRecorder rec(7, 11, &ledger);
+  EXPECT_EQ(ledger.used(), 7u * 11u * sizeof(std::int32_t) +
+                               7u * (sizeof(PacketId) + sizeof(std::int32_t)));
+  util::BudgetLedger tight(util::MemoryBudget{100});
+  EXPECT_THROW(DelayRecorder(7, 11, &tight), util::BudgetExceeded);
+}
+
+/// Ledger bytes of a NeighborRecorder over `nodes` whose partner counts are
+/// `degrees`: the rows, plus one block per kRowWidth - 1 partners past the
+/// first kRowWidth - 1 of every node that spilled.
+std::size_t neighbor_bytes(NodeKey nodes,
+                           const std::vector<std::size_t>& degrees) {
+  constexpr std::size_t kWidth = NeighborRecorder::kRowWidth;
+  std::size_t bytes =
+      static_cast<std::size_t>(nodes) * (kWidth * sizeof(NodeKey) + 1);
+  for (const std::size_t degree : degrees) {
+    if (degree <= kWidth) continue;
+    const std::size_t spilled = degree - (kWidth - 1);
+    const std::size_t blocks = (spilled + kWidth - 2) / (kWidth - 1);
+    bytes += blocks * kWidth * sizeof(NodeKey);
+  }
+  return bytes;
+}
+
+TEST(NeighborRecorder, MatchesSetModelWithHubsPastTheRow) {
+  constexpr NodeKey kNodes = 200;
+  constexpr NodeKey kHubs = 4;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Prng prng(seed);
+    util::BudgetLedger ledger(util::MemoryBudget{1 << 20});
+    NeighborRecorder rec(kNodes, &ledger);
+    std::vector<std::set<NodeKey>> model(static_cast<std::size_t>(kNodes));
+    // Each hub draws its partners from a pool of 30-60 nodes; everyone else
+    // exchanges with a few random nodes.
+    std::vector<std::vector<NodeKey>> pools(static_cast<std::size_t>(kHubs));
+    for (auto& pool : pools) {
+      const auto size = static_cast<std::size_t>(prng.range(30, 60));
+      while (pool.size() < size) {
+        const auto x = static_cast<NodeKey>(prng.range(kHubs, kNodes - 1));
+        if (std::ranges::find(pool, x) == pool.end()) pool.push_back(x);
+      }
+    }
+    for (int batch = 0; batch < 40; ++batch) {
+      for (int i = 0; i < 50; ++i) {
+        NodeKey from = 0;
+        NodeKey to = 0;
+        if (prng.chance(0.6)) {
+          const auto hub =
+              static_cast<NodeKey>(prng.below(std::uint64_t{kHubs}));
+          const auto& pool = pools[static_cast<std::size_t>(hub)];
+          from = hub;
+          to = pool[prng.below(pool.size())];
+          if (prng.chance(0.5)) std::swap(from, to);
+        } else {
+          from = static_cast<NodeKey>(prng.range(kHubs, kNodes - 1));
+          to = static_cast<NodeKey>(prng.range(kHubs, kNodes - 1));
+        }
+        rec.on_delivery(make(from, to, 0, batch));
+        model[static_cast<std::size_t>(from)].insert(to);
+        model[static_cast<std::size_t>(to)].insert(from);
+      }
+      std::vector<std::size_t> degrees;
+      for (NodeKey node = 0; node < kNodes; ++node) {
+        degrees.push_back(model[static_cast<std::size_t>(node)].size());
+        ASSERT_EQ(rec.count(node), degrees.back())
+            << "seed=" << seed << " batch=" << batch << " node=" << node;
+      }
+      ASSERT_EQ(rec.max_count(0, kNodes - 1), std::ranges::max(degrees));
+      ASSERT_EQ(ledger.used(), neighbor_bytes(kNodes, degrees));
+    }
+    for (NodeKey hub = 0; hub < kHubs; ++hub) {
+      EXPECT_GE(rec.count(hub), 30u) << "seed=" << seed << " hub=" << hub;
+    }
+  }
+}
+
+TEST(NeighborRecorder, SpillPastTheRowKeepsCountsExact) {
+  constexpr std::size_t kWidth = NeighborRecorder::kRowWidth;
+  util::BudgetLedger ledger(util::MemoryBudget{1 << 20});
+  NeighborRecorder rec(4, &ledger);
+  const std::size_t rows = 4 * (kWidth * sizeof(NodeKey) + 1);
+  EXPECT_EQ(ledger.used(), rows);
+  // Partners beyond the tracked range still count for node 1.
+  const auto deliver_from = [&](NodeKey first, NodeKey last) {
+    for (NodeKey p = first; p <= last; ++p) rec.on_delivery(make(p, 1, 0, 0));
+  };
+  deliver_from(100, 123);  // a full row
+  EXPECT_EQ(rec.count(1), kWidth);
+  EXPECT_EQ(ledger.used(), rows);
+  deliver_from(124, 124);  // the first spill adds one block
+  EXPECT_EQ(rec.count(1), kWidth + 1);
+  EXPECT_EQ(ledger.used(), rows + kWidth * sizeof(NodeKey));
+  deliver_from(100, 124);  // repeats from the row and the moved partner
+  EXPECT_EQ(rec.count(1), kWidth + 1);
+  deliver_from(125, 145);  // fills the first block: 23 in the row, 23 there
+  EXPECT_EQ(rec.count(1), 2 * (kWidth - 1));
+  EXPECT_EQ(ledger.used(), rows + kWidth * sizeof(NodeKey));
+  deliver_from(146, 171);  // a second and third block
+  EXPECT_EQ(rec.count(1), 72u);
+  EXPECT_EQ(ledger.used(), rows + 3 * kWidth * sizeof(NodeKey));
+  deliver_from(100, 171);
+  EXPECT_EQ(rec.count(1), 72u);
+  // Other nodes are untouched, and a second spilling node chains its own
+  // blocks in the same pool.
+  EXPECT_EQ(rec.count(2), 0u);
+  for (NodeKey p = 200; p < 230; ++p) rec.on_delivery(make(2, p, 0, 0));
+  EXPECT_EQ(rec.count(2), 30u);
+  EXPECT_EQ(rec.count(1), 72u);
+  EXPECT_EQ(rec.max_count(1, 3), 72u);
+  EXPECT_DOUBLE_EQ(rec.mean_count(1, 3), (72.0 + 30.0 + 0.0) / 3.0);
 }
 
 TEST(Summary, BasicStatistics) {

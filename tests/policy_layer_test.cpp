@@ -258,13 +258,13 @@ TEST(PolicySession, AdaptiveStartupDisablesClosedFormReplay) {
 
 TEST(PolicySession, RunStartupReportsRampEarlierThanFixed) {
   SessionConfig cfg{.scheme = Scheme::kChain, .n = 10, .d = 1};
-  const StartupRunResult fixed = StreamingSession(cfg).run_startup();
+  const LossRunResult fixed = StreamingSession(cfg).run_startup();
   EXPECT_EQ(fixed.startup.policy, "fixed");
   EXPECT_EQ(fixed.startup.max_start, fixed.qos.worst_delay);
   EXPECT_EQ(fixed.startup.stalls, 0);
 
   cfg.startup.policy = "progressive-ramp";
-  const StartupRunResult ramp = StreamingSession(cfg).run_startup();
+  const LossRunResult ramp = StreamingSession(cfg).run_startup();
   EXPECT_EQ(ramp.startup.policy, "progressive-ramp");
   // The chain delivers in order at rate 1, so a one-slot prebuffer after
   // each receiver's first arrival already plays without stalling — strictly
@@ -299,12 +299,20 @@ Tx data(NodeKey from, NodeKey to, PacketId p) {
   return Tx{.from = from, .to = to, .packet = p, .tag = 0};
 }
 
-TEST(ContinuityStartup, StartSlotZeroCountsLeadingWait) {
-  metrics::ContinuityRecorder rec(2, 3);
+/// The arrival matrix a continuity recorder replays: packets 0..2 reach
+/// node 1 in slots 4..6.
+metrics::DelayRecorder arrivals_from_slot_four() {
+  metrics::DelayRecorder delays(2, 3);
   for (PacketId p = 0; p < 3; ++p) {
-    rec.on_delivery(
+    delays.on_delivery(
         Delivery{.sent = 4 + p, .received = 4 + p, .tx = data(0, 1, p)});
   }
+  return delays;
+}
+
+TEST(ContinuityStartup, StartSlotZeroCountsLeadingWait) {
+  const metrics::DelayRecorder delays = arrivals_from_slot_four();
+  const metrics::ContinuityRecorder rec(delays);
   const auto r = rec.report(1, /*playback_start=*/0, /*horizon=*/50);
   EXPECT_EQ(r.stalls, 1);       // one wait for packet 0, then rate-1 flow
   EXPECT_EQ(r.stall_slots, 4);  // slots 0..3
@@ -314,11 +322,8 @@ TEST(ContinuityStartup, StartSlotZeroCountsLeadingWait) {
 }
 
 TEST(ContinuityStartup, StartBeyondStreamEndPlaysWithoutStalling) {
-  metrics::ContinuityRecorder rec(2, 3);
-  for (PacketId p = 0; p < 3; ++p) {
-    rec.on_delivery(
-        Delivery{.sent = 4 + p, .received = 4 + p, .tx = data(0, 1, p)});
-  }
+  const metrics::DelayRecorder delays = arrivals_from_slot_four();
+  const metrics::ContinuityRecorder rec(delays);
   // Everything arrived long before the start slot — even one past the
   // horizon: arrivals below the horizon stay playable, so the replay is a
   // pure pass-through ending at start + window.
@@ -330,7 +335,8 @@ TEST(ContinuityStartup, StartBeyondStreamEndPlaysWithoutStalling) {
 }
 
 TEST(ContinuityStartup, FirstArrivalOfSilentReceiverIsNever) {
-  metrics::ContinuityRecorder rec(3, 4);
+  const metrics::DelayRecorder delays(3, 4);
+  const metrics::ContinuityRecorder rec(delays);
   EXPECT_EQ(rec.first_arrival(2), metrics::kNeverArrived);
 }
 

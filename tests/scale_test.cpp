@@ -1,12 +1,10 @@
 // Million-node scale subsystem tests (DESIGN.md §11): GK sketch accuracy
 // against exact ranks, budget fail-fast, the structured placement inverse,
-// the scale recorder stack's byte-identity with the exact stack, and the
-// closed-form replay's byte-identity with the per-slot pump.
+// and the closed-form replay's byte-identity with the per-slot pump.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 
 #include "src/core/session.hpp"
 #include "src/multitree/structured.hpp"
-#include "src/scale/recorder.hpp"
 #include "src/scale/replay.hpp"
 #include "src/scale/sketch.hpp"
 #include "src/util/budget.hpp"
@@ -169,28 +166,6 @@ TEST(Budget, SessionFailsFastNeverOoms) {
   cfg.scale.budget_bytes = 10'000;
   cfg.scale.allow_replay = false;
   EXPECT_THROW((void)StreamingSession(cfg).run(), util::BudgetExceeded);
-  // Same budget, scale stack: the flat recorders are ~2.4x smaller but
-  // still far over 10 kB.
-  cfg.scale.sketch_threshold = 1;
-  EXPECT_THROW((void)StreamingSession(cfg).run(), util::BudgetExceeded);
-}
-
-// --- scale recorders -------------------------------------------------------
-
-TEST(ScaleNeighborRecorder, SaturationIsAnErrorNotATruncation) {
-  util::BudgetLedger ledger(util::MemoryBudget{1 << 20});
-  scale::ScaleNeighborRecorder rec(4, 2, &ledger);
-  const auto deliver = [&](NodeKey from, NodeKey to) {
-    rec.on_delivery(sim::Delivery{
-        .sent = 0, .received = 0, .tx = {.from = from, .to = to, .packet = 0}});
-  };
-  deliver(0, 1);
-  deliver(2, 1);
-  EXPECT_EQ(rec.count(1), 2u);
-  deliver(3, 1);  // over the cap of 2
-  EXPECT_THROW((void)rec.count(1), std::logic_error);
-  // Other nodes stay queryable.
-  EXPECT_EQ(rec.count(2), 1u);
 }
 
 // --- structured placement inverse ------------------------------------------
@@ -211,35 +186,12 @@ TEST(StructuredNodeAt, InvertsStructuredPositionEverywhere) {
   }
 }
 
-// --- scale stack vs exact stack --------------------------------------------
+// --- closed-form replay ----------------------------------------------------
 
-QosReport run_with(SessionConfig cfg, bool scale_stack) {
+QosReport run_pumped(SessionConfig cfg) {
   cfg.scale.allow_replay = false;
-  cfg.scale.sketch_threshold = scale_stack ? 1 : 0;
   return StreamingSession(cfg).run();
 }
-
-TEST(ScaleStack, ByteIdenticalToExactStackAcrossSchemes) {
-  const SessionConfig grid[] = {
-      {.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 3},
-      {.scheme = Scheme::kMultiTreeStructured,
-       .n = 63,
-       .d = 2,
-       .mode = multitree::StreamMode::kLivePrebuffered},
-      {.scheme = Scheme::kMultiTreeGreedy, .n = 50, .d = 3},
-      {.scheme = Scheme::kHypercube, .n = 31, .d = 1},
-      {.scheme = Scheme::kChain, .n = 24, .d = 1},
-      {.scheme = Scheme::kSingleTree, .n = 40, .d = 2},
-  };
-  for (const SessionConfig& cfg : grid) {
-    const std::string exact = core::serialize(run_with(cfg, false));
-    const std::string scaled = core::serialize(run_with(cfg, true));
-    EXPECT_EQ(exact, scaled)
-        << core::scheme_name(cfg.scheme) << " n=" << cfg.n << " d=" << cfg.d;
-  }
-}
-
-// --- closed-form replay ----------------------------------------------------
 
 QosReport run_replayed(SessionConfig cfg) {
   cfg.scale.replay_threshold = 1;  // always replay
@@ -255,8 +207,7 @@ TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
         SessionConfig cfg{
             .scheme = Scheme::kMultiTreeStructured, .n = n, .d = d,
             .mode = mode};
-        const std::string pump =
-            core::serialize(run_with(cfg, /*scale_stack=*/false));
+        const std::string pump = core::serialize(run_pumped(cfg));
         const std::string replay = core::serialize(run_replayed(cfg));
         ASSERT_EQ(pump, replay)
             << "n=" << n << " d=" << d << " mode="
@@ -269,7 +220,7 @@ TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
 TEST(Replay, HonorsExplicitWindow) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 3};
   cfg.window = 30;
-  EXPECT_EQ(core::serialize(run_with(cfg, false)),
+  EXPECT_EQ(core::serialize(run_pumped(cfg)),
             core::serialize(run_replayed(cfg)));
 }
 
@@ -342,7 +293,6 @@ TEST(Replay, ThresholdRoutesAutomatically) {
   // the summary's replayed flag.
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 200, .d = 2};
   cfg.scale.replay_threshold = 100;
-  cfg.scale.sketch_threshold = 0;
   const core::ScaleRunResult routed = StreamingSession(cfg).run_scale();
   EXPECT_TRUE(routed.summary.replayed);
 

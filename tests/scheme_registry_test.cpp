@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/core/session.hpp"
+#include "src/policy/registry.hpp"
 #include "src/run/sweep.hpp"
 #include "src/scheme/registry.hpp"
 #include "src/sim/trace.hpp"
@@ -282,7 +284,9 @@ TEST(RunPipeline, LossSummaryRequiresLossyWiring) {
   spec.node_span = cfg.n + 1;
   RunPipeline pipeline(*overlay.topology, *overlay.protocol, spec);
   pipeline.run(overlay.window + overlay.slack);
-  EXPECT_THROW((void)pipeline.loss_summary(cfg.loss, 1, cfg.n, 0),
+  const std::unique_ptr<policy::StartupPolicy> fixed =
+      policy::startup_policy("fixed").make(cfg.startup);
+  EXPECT_THROW((void)pipeline.loss_summary(cfg.loss, *fixed, 1, cfg.n, 0),
                std::logic_error);
 }
 
