@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "bench/bench_util.hpp"
+#include "src/metrics/playback.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/churn.hpp"
 #include "src/multitree/dynamic.hpp"
@@ -35,10 +36,11 @@ Outcome run(int d, int slack, std::uint64_t seed) {
   sim::Engine engine(topo, proto,
                      sim::EngineOptions{.forbid_duplicates = false});
   const sim::Slot margin = worst_delay_bound(capacity, d) + 2 * d;
-  PeerQosTracker tracker(churn, proto, margin);
+  metrics::PeerPlaybackTracker tracker(
+      [&churn](sim::NodeKey id) { return churn.peer_at(id); }, margin);
   engine.add_observer(tracker);
   for (sim::NodeKey id = 1; id <= n0; ++id) {
-    tracker.peer_seated(churn.peer_at(id), 0);
+    tracker.peer_seated(churn.peer_at(id), 0, proto.live_edge());
   }
 
   util::Prng rng(seed);
@@ -54,7 +56,8 @@ Outcome run(int d, int slack, std::uint64_t seed) {
       tracker.peer_left(victim, now);
       churn.remove(victim);
     } else {
-      tracker.peer_seated(churn.add(), now);
+      const PeerId p = churn.add();
+      tracker.peer_seated(p, now, proto.live_edge());
     }
     proto.resync(now);
   }

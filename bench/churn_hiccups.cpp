@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "src/metrics/playback.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/churn.hpp"
 #include "src/multitree/dynamic.hpp"
@@ -36,10 +37,11 @@ Outcome run(NodeKey n0, int d, ChurnPolicy policy, int events,
   net::UniformCluster topo(capacity, d);
   sim::Engine engine(topo, proto);
   const sim::Slot margin = worst_delay_bound(capacity, d) + 2 * d;
-  PeerQosTracker tracker(churn, proto, margin);
+  metrics::PeerPlaybackTracker tracker(
+      [&churn](NodeKey id) { return churn.peer_at(id); }, margin);
   engine.add_observer(tracker);
   for (NodeKey id = 1; id <= n0; ++id) {
-    tracker.peer_seated(churn.peer_at(id), 0);
+    tracker.peer_seated(churn.peer_at(id), 0, proto.live_edge());
   }
 
   util::Prng rng(seed);
@@ -55,7 +57,7 @@ Outcome run(NodeKey n0, int d, ChurnPolicy policy, int events,
       churn.remove(victim);
     } else {
       const PeerId p = churn.add();
-      tracker.peer_seated(p, now);
+      tracker.peer_seated(p, now, proto.live_edge());
     }
     proto.resync(now);
   }

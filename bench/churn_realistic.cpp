@@ -12,7 +12,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/dyntree/protocol.hpp"
-#include "src/dyntree/qos.hpp"
+#include "src/metrics/playback.hpp"
 #include "src/metrics/summary.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/churn.hpp"
@@ -52,21 +52,22 @@ Outcome run_trace(const workload::TraceConfig& cfg, int d,
   sim::Engine engine(topo, proto,
                      sim::EngineOptions{.forbid_duplicates = false});
   const sim::Slot margin = worst_delay_bound(capacity, d) + 2 * d;
-  PeerQosTracker tracker(churn, proto, margin);
+  metrics::PeerPlaybackTracker tracker(
+      [&churn](NodeKey id) { return churn.peer_at(id); }, margin);
   engine.add_observer(tracker);
 
   // Map trace peer labels -> live ChurnForest peers.
   std::map<std::int64_t, PeerId> live;
   for (NodeKey id = 1; id <= cfg.initial_n; ++id) {
     live[id - 1] = churn.peer_at(id);
-    tracker.peer_seated(churn.peer_at(id), 0);
+    tracker.peer_seated(churn.peer_at(id), 0, proto.live_edge());
   }
   for (const auto& e : trace) {
     engine.run_until(e.slot);
     if (e.arrival) {
       const PeerId p = churn.add();
       live[e.peer] = p;
-      tracker.peer_seated(p, e.slot);
+      tracker.peer_seated(p, e.slot, proto.live_edge());
       proto.resync(e.slot);
     } else {
       const auto it = live.find(e.peer);
@@ -137,7 +138,9 @@ Outcome run_trace_dyntree(const workload::TraceConfig& cfg, int d,
   sim::Protocol& top = backfill ? static_cast<sim::Protocol&>(recovery)
                                 : static_cast<sim::Protocol&>(proto);
   sim::Engine engine(topo, top);
-  dyntree::PeerQosTracker tracker(proto, margin);
+  // Keys are permanent and never reused, so each key is its own peer.
+  metrics::PeerPlaybackTracker tracker([](NodeKey key) { return key; },
+                                       margin);
   if (backfill) {
     engine.add_observer(recovery);
     recovery.add_observer(tracker);  // post-repair stream
@@ -149,7 +152,7 @@ Outcome run_trace_dyntree(const workload::TraceConfig& cfg, int d,
   for (NodeKey i = 0; i < cfg.initial_n; ++i) {
     const NodeKey key = proto.join();
     live[i] = key;
-    tracker.peer_seated(key, 0);
+    tracker.peer_seated(key, 0, proto.live_edge(0));
   }
   proto.forest().rebalance();
   for (const auto& e : trace) {
@@ -157,7 +160,7 @@ Outcome run_trace_dyntree(const workload::TraceConfig& cfg, int d,
     if (e.arrival) {
       const NodeKey key = proto.join();
       live[e.peer] = key;
-      tracker.peer_seated(key, e.slot);
+      tracker.peer_seated(key, e.slot, proto.live_edge(e.slot));
       if (backfill) recovery.seat(key, proto.live_edge(e.slot));
     } else {
       const auto it = live.find(e.peer);

@@ -3,6 +3,7 @@
 // transmitted packet, and transmission target.
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "bench/bench_util.hpp"
 #include "src/hypercube/arbitrary.hpp"
@@ -24,6 +25,12 @@ class TraceObserver final : public sim::DeliveryObserver {
  private:
   sim::Trace& trace_;
 };
+
+std::string node_name(sim::NodeKey v) {
+  std::string name = "N";
+  name += std::to_string(v);
+  return name;
+}
 
 }  // namespace
 
@@ -52,12 +59,12 @@ int main() {
     }
     for (sim::NodeKey v = 0; v <= n; ++v) {
       const auto it = by_sender.find(v);
-      std::string who = v == 0 ? "S" : "N" + std::to_string(v);
+      const std::string who = v == 0 ? "S" : node_name(v);
       if (it == by_sender.end()) {
         table.add_row({who, "-", "-"});
       } else {
         table.add_row({who, util::cell(it->second->tx.packet),
-                       "N" + std::to_string(it->second->tx.to)});
+                       node_name(it->second->tx.to)});
       }
     }
     table.print(std::cout);

@@ -31,10 +31,6 @@ StreamingSession::StreamingSession(SessionConfig config)
       throw std::invalid_argument("lossy links require clusters == 1");
     }
   }
-  if (config_.loss.model != loss::ErasureKind::kNone &&
-      !scheme::descriptor(config_.scheme).caps.lossy_links) {
-    throw std::invalid_argument("scheme does not support lossy links");
-  }
   if (config_.loss.fec_window < 1) throw std::invalid_argument("fec_window < 1");
   if (config_.loss.extra_send < 0 || config_.loss.extra_recv < 0) {
     throw std::invalid_argument("negative capacity headroom");

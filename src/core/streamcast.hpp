@@ -40,6 +40,7 @@
 #include "src/metrics/delay.hpp"             // IWYU pragma: export
 #include "src/metrics/jitter.hpp"            // IWYU pragma: export
 #include "src/metrics/neighbors.hpp"         // IWYU pragma: export
+#include "src/metrics/playback.hpp"          // IWYU pragma: export
 #include "src/metrics/summary.hpp"           // IWYU pragma: export
 #include "src/multitree/analysis.hpp"        // IWYU pragma: export
 #include "src/multitree/churn.hpp"           // IWYU pragma: export

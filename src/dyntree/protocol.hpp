@@ -14,7 +14,7 @@
 // by a leave) starts receiving from its new parent's *next* delivery on.
 // The paper's rate-matched links leave no bandwidth to replay history — the
 // same reasoning as DynamicMultiTreeProtocol's live-edge jump — so the
-// missed interval surfaces as honest hiccups in the churn QoS trackers
+// missed interval surfaces as honest hiccups in the churn playback tracker
 // instead of a silently rewritten past.
 #pragma once
 

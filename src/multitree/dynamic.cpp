@@ -130,45 +130,4 @@ void DynamicMultiTreeProtocol::deliver(Slot t, const Tx& tx) {
   cell = std::max(cell, m);
 }
 
-// --------------------------------------------------------------------------
-
-PeerQosTracker::PeerQosTracker(const ChurnForest& churn,
-                               const DynamicMultiTreeProtocol& protocol,
-                               Slot startup_margin)
-    : churn_(churn), protocol_(protocol), margin_(startup_margin) {}
-
-void PeerQosTracker::peer_seated(PeerId peer, Slot t) {
-  buffers_.emplace(peer,
-                   net::PlaybackBuffer(t + margin_, protocol_.live_edge()));
-  ++tracked_;
-}
-
-void PeerQosTracker::on_delivery(const sim::Delivery& d) {
-  const PeerId peer = churn_.peer_at(d.tx.to);
-  const auto it = buffers_.find(peer);
-  if (it == buffers_.end()) return;
-  it->second.advance_to(d.received - 1);
-  it->second.on_receive(d.received, d.tx.packet);
-}
-
-void PeerQosTracker::retire(net::PlaybackBuffer& buffer, Slot t) {
-  buffer.advance_to(t);
-  hiccups_ += buffer.hiccups();
-  played_ += buffer.played();
-  late_ += buffer.late_or_duplicate();
-  if (buffer.hiccups() > 0) ++peers_with_hiccups_;
-}
-
-void PeerQosTracker::peer_left(PeerId peer, Slot t) {
-  const auto it = buffers_.find(peer);
-  if (it == buffers_.end()) return;
-  retire(it->second, t);
-  buffers_.erase(it);
-}
-
-void PeerQosTracker::finish(Slot t) {
-  for (auto& [peer, buffer] : buffers_) retire(buffer, t);
-  buffers_.clear();
-}
-
 }  // namespace streamcast::multitree

@@ -27,17 +27,15 @@
 // nothing but their positions' cursors keep ticking, so a joiner enters at
 // the live stream edge.
 //
-// Per-peer QoS is measured by PeerQosTracker: one PlaybackBuffer per peer,
-// started startup_margin slots after it is seated, playing from the stream
-// position of that moment; every missed due packet is one hiccup.
+// Per-peer QoS is measured by metrics::PeerPlaybackTracker keyed through
+// ChurnForest::peer_at, seating each peer at live_edge(): one
+// PlaybackBuffer per peer, started startup_margin slots after it is seated;
+// every missed due packet is one hiccup.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "src/multitree/churn.hpp"
-#include "src/net/buffer.hpp"
-#include "src/sim/engine.hpp"
 #include "src/sim/protocol.hpp"
 
 namespace streamcast::multitree {
@@ -84,45 +82,6 @@ class DynamicMultiTreeProtocol final : public sim::Protocol {
   std::vector<std::vector<std::int64_t>> highest_;  // [id][tree] -> max m
   std::vector<Interior> interiors_;
   std::vector<std::vector<std::int64_t>> src_next_;  // [tree][child slot]
-};
-
-/// Per-peer playback accounting under churn.
-class PeerQosTracker final : public sim::DeliveryObserver {
- public:
-  /// Every peer starts playback startup_margin slots after being seated, at
-  /// the packet its interior trees are then distributing.
-  PeerQosTracker(const ChurnForest& churn,
-                 const DynamicMultiTreeProtocol& protocol,
-                 Slot startup_margin);
-
-  void on_delivery(const sim::Delivery& d) override;
-
-  /// Registers a peer seated at slot t (call for the initial population at
-  /// t = 0 and after every add()).
-  void peer_seated(PeerId peer, Slot t);
-  /// Finalizes a departing peer's stats before ChurnForest::remove().
-  void peer_left(PeerId peer, Slot t);
-  /// Finalizes all remaining peers at the end of the run.
-  void finish(Slot t);
-
-  std::int64_t total_hiccups() const { return hiccups_; }
-  std::int64_t total_played() const { return played_; }
-  std::int64_t late_or_duplicate() const { return late_; }
-  std::size_t peers_tracked() const { return tracked_; }
-  std::size_t peers_with_hiccups() const { return peers_with_hiccups_; }
-
- private:
-  void retire(net::PlaybackBuffer& buffer, Slot t);
-
-  const ChurnForest& churn_;
-  const DynamicMultiTreeProtocol& protocol_;
-  Slot margin_;
-  std::map<PeerId, net::PlaybackBuffer> buffers_;
-  std::int64_t hiccups_ = 0;
-  std::int64_t played_ = 0;
-  std::int64_t late_ = 0;
-  std::size_t tracked_ = 0;
-  std::size_t peers_with_hiccups_ = 0;
 };
 
 }  // namespace streamcast::multitree

@@ -3,34 +3,15 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/util/ints.hpp"
+#include "src/static/lattice.hpp"
 
 namespace streamcast::multitree {
-
-std::vector<Slot> arrival_offsets(const Forest& forest, int k) {
-  const int d = forest.d();
-  const NodeKey n_pad = forest.n_pad();
-  std::vector<Slot> offset(static_cast<std::size_t>(n_pad) + 1, 0);
-  // Positions are BFS-ordered, so parents are computed before children.
-  for (NodeKey p = 1; p <= n_pad; ++p) {
-    const int c = forest.child_index(p);
-    if (p <= static_cast<NodeKey>(d)) {
-      offset[static_cast<std::size_t>(p)] = c;  // S sends to child c in slot c
-    } else {
-      const Slot parent = offset[static_cast<std::size_t>(forest.parent_pos(p))];
-      offset[static_cast<std::size_t>(p)] =
-          parent + 1 + util::mod_floor(c - parent - 1, d);
-    }
-  }
-  (void)k;  // the offsets depend only on the position lattice, not on k
-  return offset;
-}
 
 std::vector<Slot> closed_form_delays(const Forest& forest) {
   const int d = forest.d();
   // A_k(p) is identical for every k (pure position arithmetic), so compute
   // it once and index by each node's per-tree position.
-  const auto offsets = arrival_offsets(forest, 0);
+  const auto offsets = envelope::arrival_offsets(forest.n_pad(), d);
   std::vector<Slot> delay(static_cast<std::size_t>(forest.n()) + 1, 0);
   for (NodeKey x = 1; x <= forest.n(); ++x) {
     Slot a = 0;
@@ -45,7 +26,7 @@ std::vector<Slot> closed_form_delays(const Forest& forest) {
 
 std::vector<Slot> closed_form_delays_pipelined(const Forest& forest) {
   const int d = forest.d();
-  const auto offsets = arrival_offsets(forest, 0);
+  const auto offsets = envelope::arrival_offsets(forest.n_pad(), d);
   std::vector<Slot> delay(static_cast<std::size_t>(forest.n()) + 1, 0);
   for (NodeKey x = 1; x <= forest.n(); ++x) {
     Slot a = 0;
@@ -64,7 +45,7 @@ std::vector<Slot> closed_form_delays_pipelined(const Forest& forest) {
 
 PeriodicSchedule build_periodic_schedule(const Forest& forest) {
   const int d = forest.d();
-  const auto offsets = arrival_offsets(forest, 0);
+  const auto offsets = envelope::arrival_offsets(forest.n_pad(), d);
   PeriodicSchedule sched;
   sched.d = d;
   sched.residues.resize(static_cast<std::size_t>(d));

@@ -24,9 +24,6 @@ namespace streamcast::multitree {
 
 using sim::Slot;
 
-/// A_k(p) for every position p in [1, n_pad]; index 0 is unused (0).
-std::vector<Slot> arrival_offsets(const Forest& forest, int k);
-
 /// Closed-form playback delay a(x) for every real receiver x in [1, n];
 /// index 0 unused (0). Pre-recorded mode; the live-prebuffered mode adds
 /// exactly d to every entry.

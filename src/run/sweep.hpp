@@ -41,7 +41,7 @@ int resolve_threads(int requested);
 /// shared atomic index queue, exceptions are captured per index, and after
 /// the pool joins the lowest-index exception is rethrown (later indices may
 /// already have run). Bodies must confine writes to index-owned state —
-/// tools/lint_determinism.py flags default-by-reference captures here.
+/// tools/lint_ast.py flags default-by-reference captures here.
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   SweepOptions options = {});

@@ -8,39 +8,14 @@
 #include "src/multitree/analysis.hpp"
 #include "src/static/lattice.hpp"
 #include "src/util/budget.hpp"
-#include "src/util/ints.hpp"
 
 namespace streamcast::scale {
 
-namespace {
-
 // The lattice arithmetic itself lives in src/static/lattice.hpp (PR 8):
-// envelope::Lattice is the constexpr form of the struct that used to be
-// defined here, shared with the compile-time proofs and the multi-tree
-// analysis so all three evaluate identical formulas.
+// envelope::Lattice and envelope::arrival_offsets are shared with the
+// compile-time proofs and the multi-tree analysis so all three evaluate
+// identical formulas.
 using Count = envelope::Count;
-
-/// A(p) for every position: the memoized form of envelope::arrival_offset
-/// (positions are parent-major, so one forward pass resolves every parent
-/// before its children — O(n_pad) instead of O(n_pad · height)).
-std::vector<Slot> lattice_offsets(const envelope::Lattice& lat) {
-  std::vector<Slot> offset(static_cast<std::size_t>(lat.n_pad) + 1, 0);
-  for (Count pos = 1; pos <= lat.n_pad; ++pos) {
-    const auto c = static_cast<Slot>((pos - 1) % lat.d);
-    if (pos <= lat.d) {
-      offset[static_cast<std::size_t>(pos)] = c;
-    } else {
-      const Slot parent =
-          offset[static_cast<std::size_t>((pos - 1) / lat.d)];
-      offset[static_cast<std::size_t>(pos)] =
-          parent + 1 + util::mod_floor(c - parent - 1,
-                                       static_cast<Slot>(lat.d));
-    }
-  }
-  return offset;
-}
-
-}  // namespace
 
 ReplayReport replay_structured(const ReplayConfig& config,
                                const ScaleOptions& options) {
@@ -53,7 +28,7 @@ ReplayReport replay_structured(const ReplayConfig& config,
   util::BudgetLedger ledger(util::MemoryBudget{options.budget_bytes});
   ledger.charge("scale/replay-offsets",
                 (static_cast<std::size_t>(lat.n_pad) + 1) * sizeof(Slot));
-  const std::vector<Slot> offsets = lattice_offsets(lat);
+  const std::vector<Slot> offsets = envelope::arrival_offsets(lat.n_pad, d);
 
   // Session/registry defaults, mirrored exactly (byte-match tests keep the
   // two in lockstep): window 2·d·(height+2), slack 4 + h·d + 3·d.

@@ -210,7 +210,6 @@ Envelope envelope_dynamic_trees(const SessionConfig& config) {
 // --- the registry ----------------------------------------------------------
 
 constexpr Capabilities kMultiTreeCaps{.live_modes = true,
-                                      .memoized_schedule = true,
                                       .degree_sweep = true,
                                       .closed_form_replay = true};
 
@@ -222,10 +221,7 @@ const Descriptor kRegistry[] = {
      .envelope = envelope_multitree},
     {.id = Scheme::kMultiTreeGreedy,
      .name = "multi-tree/greedy",
-     .caps = {.live_modes = true,
-              .multicluster = true,
-              .memoized_schedule = true,
-              .degree_sweep = true},
+     .caps = {.live_modes = true, .multicluster = true, .degree_sweep = true},
      .build = build_multitree,
      .envelope = envelope_multitree,
      .intra = supertree::IntraScheme::kMultiTree,

@@ -9,8 +9,8 @@
 // suite all pick it up by iterating `all()`.
 //
 // Scheme dispatch is centralized in this directory by construction:
-// tools/lint_determinism.py fails CI on a `case Scheme::` arm anywhere
-// outside src/scheme/.
+// tools/lint_ast.py fails CI on a `case Scheme::` arm anywhere outside
+// src/scheme/.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +52,8 @@ struct Capabilities {
   /// multitree::StreamMode changes the schedule (live modes). Schemes that
   /// stream pre-recorded data ignore the mode.
   bool live_modes = false;
-  /// Runs under loss::RecoveryProtocol on a provisioned topology. Every
-  /// current scheme does; a future scheme may opt out.
-  bool lossy_links = true;
   /// Valid intra-cluster scheme for the §2.1 super-tree composition.
   bool multicluster = false;
-  /// Eligible for the memoized periodic-schedule cache (DESIGN.md §8).
-  bool memoized_schedule = false;
   /// Every packet id flows over every link (newest-only forwarders), so the
   /// recovery layer may treat per-link id gaps as losses.
   bool dense_links = false;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "src/util/ints.hpp"
 
@@ -84,14 +85,34 @@ struct Lattice {
 
 /// Arrival offset A(p) of the round-robin schedule (§2.2.3, identical for
 /// every tree): tree-k packet k + m*d reaches position p at slot m*d + A(p).
-/// The recurrence of multitree::arrival_offsets, evaluated up the parent
-/// chain:  A(child at index c of q) = A(q) + 1 + ((c - A(q) - 1) mod d),
+/// The recurrence, evaluated up the parent chain:
+///     A(child at index c of q) = A(q) + 1 + ((c - A(q) - 1) mod d),
 /// with A(p) = (p - 1) mod d in level 1.
 constexpr Count arrival_offset(Count pos, Count d) {
   const Count c = (pos - 1) % d;
   if (pos <= d) return c;
   const Count parent = arrival_offset((pos - 1) / d, d);
   return parent + 1 + util::mod_floor(c - parent - 1, d);
+}
+
+/// A(p) for every position p in [1, n_pad]; index 0 is unused (0). The
+/// memoized form of arrival_offset: positions are parent-major, so one
+/// forward pass resolves every parent before its children — O(n_pad)
+/// instead of O(n_pad · height). Any forest on the lattice (structured or
+/// greedy) shares the table, since positions alone determine it.
+inline std::vector<Count> arrival_offsets(Count n_pad, Count d) {
+  std::vector<Count> offset(static_cast<std::size_t>(n_pad) + 1, 0);
+  for (Count pos = 1; pos <= n_pad; ++pos) {
+    const Count c = (pos - 1) % d;
+    const auto at = static_cast<std::size_t>(pos);
+    if (pos <= d) {
+      offset[at] = c;
+    } else {
+      const Count parent = offset[static_cast<std::size_t>((pos - 1) / d)];
+      offset[at] = parent + 1 + util::mod_floor(c - parent - 1, d);
+    }
+  }
+  return offset;
 }
 
 /// Closed-form playback delay a(x) of receiver x (pre-recorded mode):

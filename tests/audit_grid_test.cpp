@@ -11,9 +11,9 @@
 // invariant set regardless of which worker thread it landed on.
 //
 // Scheme lists come from the scheme registry, selected by capability flags
-// (live_modes, demand_driven, dense_links, multicluster, lossy_links)
-// instead of hand-maintained enum lists: a scheme added to the registry
-// joins the audited grid automatically.
+// (live_modes, demand_driven, dense_links, multicluster) instead of
+// hand-maintained enum lists: a scheme added to the registry joins the
+// audited grid automatically.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -69,7 +69,7 @@ std::vector<run::TaskResult> sweep_clean(
 TEST(AuditGrid, MultiTreeSchemesHoldTheorem2Envelopes) {
   std::vector<SessionConfig> tasks;
   for (const scheme::Descriptor& desc : scheme::all()) {
-    if (!desc.caps.memoized_schedule) continue;  // the multi-tree family
+    if (!desc.caps.live_modes) continue;  // the multi-tree family
     for (const sim::NodeKey n : {5, 14, 40, 63}) {
       for (const int d : {2, 3, 4}) {
         tasks.push_back({.scheme = desc.id, .n = n, .d = d, .audit = true});
@@ -159,7 +159,6 @@ TEST(AuditGrid, SuperTreeCompositionHoldsUnderTcSweep) {
 TEST(AuditGrid, LossyRecoveryRunsStayWithinProvisionedInvariants) {
   std::vector<SessionConfig> tasks;
   for (const scheme::Descriptor& desc : scheme::all()) {
-    if (!desc.caps.lossy_links) continue;  // today: every scheme
     for (const double rate : {0.0, 0.02, 0.1}) {
       SessionConfig cfg{.scheme = desc.id,
                         .n = 30,

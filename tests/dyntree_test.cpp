@@ -10,6 +10,7 @@
 
 #include "src/dyntree/forest.hpp"
 #include "src/dyntree/protocol.hpp"
+#include "src/metrics/playback.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
 #include "src/util/prng.hpp"
@@ -230,6 +231,44 @@ TEST(DynamicTreesProtocol, LeaveMidStreamKeepsSurvivorsFlowing) {
     EXPECT_GE(run.proto.holdings(peers[i]).highest_held(), resumed + 40)
         << "survivor " << peers[i] << " stalled after the leave";
   }
+}
+
+TEST(DynamicTreesProtocol, PlaybackTrackerKeysEachPeerByItsPermanentKey) {
+  // The churn benches' dyntree accounting: keys are never reused, so each
+  // key is its own peer, seated at the protocol's live edge. Margin 2: a
+  // peer seated in slot t plays packet live_edge(t) + j in slot t + 2 + j.
+  const DynamicTreesProtocol proto(DynamicForest(2, 1));
+  metrics::PeerPlaybackTracker tracker([](NodeKey key) { return key; }, 2);
+  const auto deliver = [&tracker](NodeKey to, PacketId packet, Slot slot) {
+    const sim::Tx tx{.to = to, .packet = packet};
+    tracker.on_delivery({.sent = slot - 1, .received = slot, .tx = tx});
+  };
+  // Key 1 plays packets 0, 1, ... from slot 2; slot 2 plays packet 0.
+  tracker.peer_seated(1, 0, proto.live_edge(0));
+  deliver(1, 0, 1);
+  deliver(1, 2, 3);
+  // Key 9 was never seated: ignored.
+  deliver(9, 5, 3);
+  // Key 2 plays packets 3, 4, ... from slot 5; packet 1 is below its first
+  // packet, so it counts as late.
+  tracker.peer_seated(2, 3, proto.live_edge(3));
+  deliver(2, 1, 4);
+  deliver(2, 3, 5);
+  // Key 1 missed packet 1 in slot 3 (a hiccup) and played packet 2 in slot
+  // 4, so packet 1 arrives late. Leaving in slot 6 misses packets 3 and 4.
+  deliver(1, 1, 5);
+  tracker.peer_left(1, 6);
+  // Key 1 has left: ignored.
+  deliver(1, 5, 7);
+  // Key 2 plays packets 3 and 4 in slots 5 and 6.
+  deliver(2, 4, 6);
+  tracker.finish(6);
+
+  EXPECT_EQ(tracker.total_hiccups(), 3);
+  EXPECT_EQ(tracker.total_played(), 4);
+  EXPECT_EQ(tracker.late_or_duplicate(), 2);
+  EXPECT_EQ(tracker.peers_tracked(), 2u);
+  EXPECT_EQ(tracker.peers_with_hiccups(), 1u);
 }
 
 TEST(DynamicForest, ScheduleBoundDominatesFreshForestHeightModel) {

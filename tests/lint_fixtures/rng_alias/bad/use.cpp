@@ -1,7 +1,7 @@
-// VIOLATING fixture (rule: rng) that the regex lint PROVABLY MISSES: no
-// line of this file spells a std engine name — the banned canonical type
-// arrives through the alias in fast_rng.hpp. Only a semantic engine that
-// resolves FastRng to mersenne_twister_engine can flag the declaration.
+// VIOLATING fixture (rule: rng) that no name match can see: no line of
+// this file spells a std engine name — the banned canonical type arrives
+// through the alias in fast_rng.hpp. Only an engine that resolves FastRng
+// to mersenne_twister_engine can flag the declaration.
 #include "fast_rng.hpp"
 
 namespace fixture {

@@ -1,4 +1,4 @@
-// VIOLATING fixture (rule: rng) that the regex lint PROVABLY MISSES: the
+// VIOLATING fixture (rule: rng) that no name match can see: the
 // declaration below spells only Gen::engine_type, never a std engine name;
 // resolving the member typedef to linear_congruential_engine takes a
 // semantic pass.

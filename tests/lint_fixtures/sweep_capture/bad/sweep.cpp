@@ -1,7 +1,6 @@
-// VIOLATING fixture (rule: sweep-capture) that the regex lint PROVABLY
-// MISSES: the [&] default capture sits on a different line than the
-// parallel_for call, so neither same-line pattern fires; only scanning the
-// call's full argument list sees it.
+// VIOLATING fixture (rule: sweep-capture) that no single line shows: the
+// [&] default capture sits on a different line than the parallel_for call;
+// only scanning the call's full argument list sees it.
 namespace run {
 template <class F>
 void parallel_for(int begin, int end, F body) {

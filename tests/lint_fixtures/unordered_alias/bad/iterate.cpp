@@ -1,8 +1,7 @@
-// VIOLATING fixture (rule: unordered-iteration) that the regex lint
-// PROVABLY MISSES: the regex requires a same-file std::unordered_* variable
-// declaration, but this file declares through the Index alias from
-// index.hpp — the implementation-defined hash order still leaks into the
-// sum below.
+// VIOLATING fixture (rule: unordered-iteration) that a same-file
+// declaration match cannot see: this file declares through the Index alias
+// from index.hpp — the implementation-defined hash order still leaks into
+// the sum below.
 #include "index.hpp"
 
 namespace fixture {

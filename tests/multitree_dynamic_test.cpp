@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/metrics/delay.hpp"
+#include "src/metrics/playback.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/churn.hpp"
 #include "src/multitree/dynamic.hpp"
@@ -33,17 +34,17 @@ struct DynamicWorld {
         engine(topo, proto,
                sim::EngineOptions{.forbid_duplicates = false}),
         margin(worst_delay_bound(capacity, d) + 2 * d),
-        tracker(churn, proto, margin) {
+        tracker([this](NodeKey id) { return churn.peer_at(id); }, margin) {
     engine.add_observer(tracker);
     for (NodeKey id = 1; id <= n0; ++id) {
-      tracker.peer_seated(churn.peer_at(id), 0);
+      tracker.peer_seated(churn.peer_at(id), 0, proto.live_edge());
     }
   }
 
   PeerId add(Slot now) {
     const PeerId p = churn.add();
     proto.resync(now);
-    tracker.peer_seated(p, now);
+    tracker.peer_seated(p, now, proto.live_edge());
     return p;
   }
 
@@ -58,7 +59,7 @@ struct DynamicWorld {
   net::UniformCluster topo;
   sim::Engine engine;
   Slot margin;
-  PeerQosTracker tracker;
+  metrics::PeerPlaybackTracker tracker;
 };
 
 TEST(Dynamic, NoChurnMeansNoHiccups) {

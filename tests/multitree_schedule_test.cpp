@@ -16,6 +16,7 @@
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/trace.hpp"
+#include "src/static/lattice.hpp"
 
 namespace streamcast::multitree {
 namespace {
@@ -43,7 +44,7 @@ TEST(ArrivalOffsets, PaperWorkedExample) {
   // in slot 0, then forwards it to its children (positions 5, 6, 4) in slots
   // 1, 2, 3.
   const Forest f = build_greedy(15, 3);
-  const auto off = arrival_offsets(f, 0);
+  const auto off = envelope::arrival_offsets(f.n_pad(), f.d());
   EXPECT_EQ(off[1], 0);
   EXPECT_EQ(off[2], 1);
   EXPECT_EQ(off[3], 2);
@@ -56,7 +57,7 @@ TEST(ArrivalOffsets, BoundedByDepthTimesD) {
   for (const int d : {2, 3, 4, 5}) {
     for (const NodeKey n : {7, 15, 40, 100, 255}) {
       const Forest f = build_greedy(n, d);
-      const auto off = arrival_offsets(f, 0);
+      const auto off = envelope::arrival_offsets(f.n_pad(), d);
       for (NodeKey p = 1; p <= f.n_pad(); ++p) {
         EXPECT_LE(off[static_cast<std::size_t>(p)],
                   static_cast<Slot>(f.depth_of(p)) * d);

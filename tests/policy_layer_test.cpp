@@ -249,6 +249,7 @@ TEST(PolicySession, BoundedRecoveryRejectedOnDemandDrivenSchemes) {
 
 TEST(PolicySession, AdaptiveStartupDisablesClosedFormReplay) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 2};
+  cfg.audit = false;
   ASSERT_TRUE(StreamingSession::replay_eligible(cfg));
   cfg.startup.policy = "loss-adaptive";
   EXPECT_FALSE(StreamingSession::replay_eligible(cfg));

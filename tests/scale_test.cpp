@@ -195,6 +195,7 @@ QosReport run_pumped(SessionConfig cfg) {
 
 QosReport run_replayed(SessionConfig cfg) {
   cfg.scale.replay_threshold = 1;  // always replay
+  cfg.audit = false;  // the auditor watches slots; a replay has none
   EXPECT_TRUE(StreamingSession::replay_eligible(cfg));
   return StreamingSession(cfg).run();
 }
@@ -226,6 +227,7 @@ TEST(Replay, HonorsExplicitWindow) {
 
 TEST(Replay, EligibilityGates) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 100, .d = 3};
+  cfg.audit = false;
   EXPECT_TRUE(StreamingSession::replay_eligible(cfg));
 
   SessionConfig greedy = cfg;
@@ -266,6 +268,7 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
         StreamingSession(sim_cfg).run_scale();
     SessionConfig replay_cfg = cfg;
     replay_cfg.scale.replay_threshold = 1;
+    replay_cfg.audit = false;
     const core::ScaleRunResult replayed =
         StreamingSession(replay_cfg).run_scale();
 
@@ -293,9 +296,11 @@ TEST(Replay, ThresholdRoutesAutomatically) {
   // the summary's replayed flag.
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 200, .d = 2};
   cfg.scale.replay_threshold = 100;
+  cfg.audit = false;
   const core::ScaleRunResult routed = StreamingSession(cfg).run_scale();
   EXPECT_TRUE(routed.summary.replayed);
 
+  cfg.audit = core::kAuditDefault;
   cfg.scale.replay_threshold = 1'000;
   const core::ScaleRunResult pumped = StreamingSession(cfg).run_scale();
   EXPECT_FALSE(pumped.summary.replayed);

@@ -166,12 +166,11 @@ TEST(SchemeRegistry, CapabilitiesMatchLegacyDispatch) {
           << desc.name;
     }
   }
-  // Live stream modes and schedule memoization: multi-tree only.
+  // Live stream modes: multi-tree only.
   for (const scheme::Descriptor& desc : scheme::all()) {
     const bool is_multitree = desc.id == Scheme::kMultiTreeStructured ||
                               desc.id == Scheme::kMultiTreeGreedy;
     EXPECT_EQ(desc.caps.live_modes, is_multitree) << desc.name;
-    EXPECT_EQ(desc.caps.memoized_schedule, is_multitree) << desc.name;
   }
   // Dense links (newest-only forwarders): the legacy lossy path set this
   // for chain and single-tree; demand-driven gap sweeping for hypercubes.
@@ -182,10 +181,6 @@ TEST(SchemeRegistry, CapabilitiesMatchLegacyDispatch) {
   EXPECT_TRUE(
       scheme::descriptor(Scheme::kHypercubeGrouped).caps.demand_driven);
   EXPECT_FALSE(scheme::descriptor(Scheme::kChain).caps.demand_driven);
-  // Every current scheme runs under the recovery layer.
-  for (const scheme::Descriptor& desc : scheme::all()) {
-    EXPECT_TRUE(desc.caps.lossy_links) << desc.name;
-  }
   // Churn adaptation: exactly the Zhu-Hajek dynamic forest.
   for (const scheme::Descriptor& desc : scheme::all()) {
     EXPECT_EQ(desc.caps.churn, desc.id == Scheme::kDynamicTrees)

@@ -58,6 +58,21 @@ TEST(StaticEnvelope, StructuredDelayMatchesScheduleClosedForm) {
   }
 }
 
+TEST(StaticEnvelope, ArrivalOffsetTableMatchesRecurrence) {
+  for (envelope::Count d = 1; d <= 5; ++d) {
+    for (envelope::Count n_pad = 1; n_pad <= 200; ++n_pad) {
+      const auto table = envelope::arrival_offsets(n_pad, d);
+      ASSERT_EQ(table.size(), static_cast<std::size_t>(n_pad) + 1);
+      EXPECT_EQ(table[0], 0);
+      for (envelope::Count pos = 1; pos <= n_pad; ++pos) {
+        EXPECT_EQ(table[static_cast<std::size_t>(pos)],
+                  envelope::arrival_offset(pos, d))
+            << "n_pad=" << n_pad << " d=" << d << " pos=" << pos;
+      }
+    }
+  }
+}
+
 TEST(StaticEnvelope, LatticeMatchesStructuredForest) {
   for (int d = 1; d <= 4; ++d) {
     for (int n = 1; n <= 80; ++n) {

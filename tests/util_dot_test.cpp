@@ -6,7 +6,11 @@ namespace streamcast::util {
 namespace {
 
 const std::vector<int> kTree{-1, 0, 0, 1};  // 0 -> {1,2}, 1 -> {3}
-const auto kLabel = [](int i) { return "n" + std::to_string(i); };
+const auto kLabel = [](int i) {
+  std::string label = "n";
+  label += std::to_string(i);
+  return label;
+};
 
 TEST(Dot, TreeStructure) {
   const std::string dot = tree_to_dot("demo", kTree, kLabel);

@@ -1,23 +1,38 @@
 #!/usr/bin/env python3
-"""AST-grounded semantic lint + module-layer DAG check (DESIGN.md §13).
+"""Determinism lint + module-layer DAG check (DESIGN.md §13).
 
-tools/lint_determinism.py matches source *text*, so a type alias defeats it:
-`using Rng = std::mt19937; Rng rng;` never spells the banned token on the
-use site, and a range-for over a member whose unordered type lives in a
-header two includes away never matches the same-file declaration regex.
-This lint closes those holes by looking at what names *mean*:
+Every result must be a pure function of its seeded config (DESIGN.md §3);
+this lint fails CI on the ways that property rots, and on include edges
+that climb the module DAG. Rules, matched on comment- and string-stripped
+source:
 
-  rng        — a declaration whose CANONICAL type is a std RNG engine
-               (std::mt19937 is an alias for mersenne_twister_engine<...>;
-               resolving to the canonical spelling means user aliases,
-               `auto`, and member typedefs cannot hide it).
-  unordered-iteration — a range-for whose range expression's canonical type
-               is std::unordered_{map,set,multimap,multiset}, wherever the
-               declaration lives (other file, alias, member typedef).
-  sweep-capture — a default-by-reference capture `[&]`/`[&, ...]` anywhere
-               inside the argument list of a run::parallel_for or
-               run::run_sweep call, across line breaks (the regex lint only
-               sees same-line captures).
+  rng        — rand()/srand(), any std <random> engine or random_device by
+               name, and any declaration whose type canonicalizes to one
+               (aliases, `auto`, member typedefs). The repo ships
+               util::Prng instead.
+  wallclock  — wall-clock reads (system_clock, time(), gettimeofday,
+               localtime/gmtime/ctime, CLOCK_REALTIME). Monotonic
+               steady_clock is allowed: benches may measure durations, they
+               may not let the date into results.
+  unordered-iteration — a range-for over a std::unordered_{map,set,
+               multimap,multiset}, wherever the declaration lives (other
+               file, alias, member typedef). Hash order is
+               implementation-defined.
+  raw-thread — std::thread construction: workers are std::jthread or go
+               through run::parallel_for, which join deterministically.
+               std::thread::hardware_concurrency() is a query, not a spawn.
+  sweep-capture — a default-by-reference capture `[&]`/`[&, ...]` inside
+               a run::parallel_for or run::run_sweep argument list (across
+               line breaks), or bound on the call's line just before it.
+               Sweep bodies name their captures so each is auditable.
+  scheme-dispatch — a `case Scheme::` arm outside src/scheme/: dispatch
+               lives in the scheme registry.
+  policy-dispatch — a `case Recovery...::` arm or a switch over a
+               RecoveryMode expression outside src/policy/: strategies
+               route through policy::recovery_policy(name).
+  overlay-seed — a util::Prng built from a numeric literal under src/rrd/
+               or src/dyntree/: overlay randomness flows from
+               SessionConfig::seed.
   layer-dag  — an #include edge that climbs the module-layer DAG declared
                in tools/layers.toml: module A may include module B only if
                A == B or B's rank is strictly lower. Same-rank modules are
@@ -36,31 +51,24 @@ This lint closes those holes by looking at what names *mean*:
                this rule the suppression may sit on the line ABOVE the
                declaration (long member declarations cannot fit an
                80-column trailing comment).
-  policy-dispatch — a `case Recovery...::` arm or a switch over a
-               RecoveryMode expression outside src/policy/: strategy
-               dispatch was extracted behind the policy registry
-               (src/policy/registry.hpp), and a re-inlined switch is a
-               site every future strategy silently misses. Callers route
-               through policy::recovery_policy(name) instead.
 
-Engines (--engine auto|clang|builtin, default auto):
+Path scopes are read from the repo-relative path, so relative and absolute
+roots behave the same.
+
+Engines, for the type-resolving half of rng, unordered-iteration and
+sweep-capture; every other rule is textual and runs under both:
 
   clang    — libclang (python `clang.cindex`): real canonical types from a
              real parse. CI pins and installs it; see .github/workflows.
   builtin  — no dependencies: a whole-tree alias/typedef table resolved to
              canonical type names, plus paren-balanced scanning for
-             multi-line sweep captures. Strictly stronger than the regex
-             lint on these rules, but an approximation of the clang
-             engine; `auto` picks clang when importable and prints a
-             visible warning when it has to fall back.
-
-The layer-dag and hot-path-alloc rules are textual and run under both
-engines.
+             multi-line sweep captures. An approximation of the clang
+             engine, used with a visible warning when clang is not
+             importable.
 
 Suppress a deliberate use with a same-line comment:  // lint: allow(<rule>)
 
-Usage: tools/lint_ast.py [dir|file ...] [--layers tools/layers.toml]
-                         [--engine auto|clang|builtin]
+Usage: tools/lint_ast.py [dir|file ...]   (default: src tests bench)
 Exit status: 0 clean, 1 findings, 2 usage/configuration error.
 """
 
@@ -70,9 +78,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from lint_determinism import ALLOW, strip_comments_and_strings  # noqa: E402
+from typing import NamedTuple
 
 try:
     import tomllib
@@ -83,22 +89,20 @@ REPO = Path(__file__).resolve().parent.parent
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 DEFAULT_DIRS = ["src", "tests", "bench"]
 
-# The std <random> engine names (all alias templates except random_device)
-# and the class templates they canonicalize to. Both spellings are banned:
-# the builtin engine resolves aliases down to whichever name the chain ends
-# at, the clang engine sees only the canonical template.
-RNG_ALIASES = {
-    "std::mt19937", "std::mt19937_64", "std::minstd_rand", "std::minstd_rand0",
-    "std::default_random_engine", "std::knuth_b", "std::ranlux24",
-    "std::ranlux48", "std::ranlux24_base", "std::ranlux48_base",
-    "std::random_device",
-}
-RNG_CANONICAL = re.compile(
-    r"\bstd::(mersenne_twister_engine|linear_congruential_engine|"
-    r"subtract_with_carry_engine|discard_block_engine|"
-    r"shuffle_order_engine|random_device)\b"
+# The std <random> engines: the alias names and the class templates they
+# canonicalize to, plus random_device. The builtin engine resolves aliases
+# down to whichever name the chain ends at, the clang engine sees only the
+# canonical template.
+RNG_NAMES = re.compile(
+    r"\bstd::(?:random_device|mt19937(?:_64)?|minstd_rand0?|"
+    r"default_random_engine|ranlux\w+|knuth_b|mersenne_twister_engine|"
+    r"linear_congruential_engine|subtract_with_carry_engine|"
+    r"discard_block_engine|shuffle_order_engine)\b"
 )
 UNORDERED = re.compile(r"\bstd::unordered_(map|set|multimap|multiset)\b")
+SWEEP_CALL = re.compile(r"\b(parallel_for|run_sweep)\s*\(")
+REF_DEFAULT = re.compile(r"\[\s*&\s*[\],]")
+ALLOW = re.compile(r"lint:\s*allow\(([a-z-]+)\)")
 
 Finding = tuple[Path, int, str, str]
 
@@ -108,6 +112,51 @@ def relpath(path: Path) -> str:
         return str(path.resolve().relative_to(REPO))
     except ValueError:
         return str(path)
+
+
+def src_relative(path: Path) -> str | None:
+    """Repo-relative path below its innermost src/ component, e.g.
+    'rrd/protocol.cpp'; None if not under one (tests and benches)."""
+    parts = Path(relpath(path)).parts
+    for i in range(len(parts) - 1, 0, -1):
+        if parts[i - 1] == "src":
+            return "/".join(parts[i:])
+    return None
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks out comments and string/char literals, preserving newlines so
+    line numbers survive. A lint: allow() marker is checked against the raw
+    line, so removing comments here is safe."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == "/" and nxt == "*":
+            i += 2
+            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
+                if text[i] == "\n":
+                    out.append("\n")
+                i += 1
+            i += 2
+        elif c in "\"'":
+            quote = c
+            i += 1
+            while i < n and text[i] != quote:
+                if text[i] == "\\":
+                    i += 1
+                elif text[i] == "\n":
+                    out.append("\n")
+                i += 1
+            i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
 
 
 class Source:
@@ -120,6 +169,7 @@ class Source:
         self.raw_lines = text.splitlines()
         self.code = strip_comments_and_strings(text)
         self.code_lines = self.code.splitlines()
+        self.src_rel = src_relative(path)
 
     def allowed(self, lineno: int, rule: str) -> bool:
         if lineno < 1 or lineno > len(self.raw_lines):
@@ -131,6 +181,67 @@ class Source:
         if lineno < 1 or lineno > len(self.raw_lines):
             return ""
         return self.raw_lines[lineno - 1].strip()
+
+
+# --------------------------------------------------------------------------
+# textual line rules (both engines)
+# --------------------------------------------------------------------------
+
+
+class TextRule(NamedTuple):
+    name: str
+    patterns: list[re.Pattern]
+    only: frozenset[str] = frozenset()  # src/ modules it is limited to
+    exempt: frozenset[str] = frozenset()  # src/ modules it skips
+
+
+LITERAL = r"\s*[({]\s*(0[xX][0-9a-fA-F]+|\d+)\s*[)}]"
+
+TEXT_RULES = [
+    # By name, so temporaries such as std::mt19937(5)() are caught too.
+    TextRule("rng", [
+        RNG_NAMES,
+        re.compile(r"(?<![\w:])(std::)?s?rand\s*\("),
+    ]),
+    TextRule("wallclock", [
+        re.compile(r"system_clock"),
+        re.compile(r"(?<![\w:])(std::)?time\s*\(\s*(0|NULL|nullptr)?\s*\)"),
+        re.compile(r"\bgettimeofday\s*\("),
+        re.compile(r"\b(localtime|gmtime|ctime)\s*\("),
+        re.compile(r"CLOCK_REALTIME"),
+    ]),
+    TextRule("raw-thread", [re.compile(r"std::thread\b(?!::)")]),
+    # The lambda bound on the call's line, before it; a capture inside the
+    # call's argument list is each engine's own check.
+    TextRule("sweep-capture",
+             [re.compile(REF_DEFAULT.pattern + ".*" + SWEEP_CALL.pattern)]),
+    TextRule("scheme-dispatch",
+             [re.compile(r"case\s+(streamcast::)?(core::)?Scheme::")],
+             exempt=frozenset({"scheme"})),
+    TextRule("policy-dispatch",
+             [re.compile(r"\bcase\s+(?:\w+\s*::\s*)*Recovery\w*\s*::"
+                         r"|\bswitch\s*\([^)]*\bRecoveryMode\b")],
+             exempt=frozenset({"policy"})),
+    TextRule("overlay-seed", [
+        re.compile(r"Prng\s+\w+" + LITERAL),
+        re.compile(r"Prng" + LITERAL),
+        re.compile(r"\bprng_" + LITERAL),
+    ], only=frozenset({"rrd", "dyntree"})),
+]
+
+
+def check_text_rules(src: Source) -> list[Finding]:
+    module = src.src_rel.split("/", 1)[0] if src.src_rel else None
+    rules = [r for r in TEXT_RULES
+             if (not r.only or module in r.only) and module not in r.exempt]
+    findings: list[Finding] = []
+    for lineno, line in enumerate(src.code_lines, start=1):
+        for rule in rules:
+            if (any(p.search(line) for p in rule.patterns)
+                    and not src.allowed(lineno, rule.name)):
+                findings.append(
+                    (src.path, lineno, rule.name, src.snippet(lineno)))
+    return findings
 
 
 # --------------------------------------------------------------------------
@@ -161,21 +272,10 @@ def module_of(rel_to_src: str, overrides: dict[str, str]) -> str:
     return rel_to_src.split("/", 1)[0]
 
 
-def src_relative(path: Path) -> str | None:
-    """Path relative to the innermost src/ component, None if not under
-    one (tests and benches are above the DAG and exempt)."""
-    parts = path.resolve().parts
-    for i in range(len(parts) - 1, 0, -1):
-        if parts[i - 1] == "src":
-            return "/".join(parts[i:])
-    return None
-
-
 def check_layers(src: Source, rank, overrides) -> list[Finding]:
-    rel = src_relative(src.path)
-    if rel is None:
+    if src.src_rel is None:
         return []
-    me = module_of(rel, overrides)
+    me = module_of(src.src_rel, overrides)
     findings: list[Finding] = []
     if me not in rank:
         findings.append(
@@ -240,34 +340,6 @@ def check_hot_path_alloc(src: Source) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# policy-dispatch (textual; both engines)
-# --------------------------------------------------------------------------
-
-POLICY_DISPATCH = re.compile(
-    r"\bcase\s+(?:\w+\s*::\s*)*Recovery\w*\s*::"
-    r"|\bswitch\s*\([^)]*\bRecoveryMode\b"
-)
-
-
-def check_policy_dispatch(src: Source) -> list[Finding]:
-    """Outside src/policy/, switching on a recovery strategy type re-inlines
-    the monolithic RecoveryMode dispatch the policy registry replaced — a
-    site every future strategy silently misses. Callers select behavior via
-    policy::recovery_policy(name) instead."""
-    if "src/policy/" in relpath(src.path).replace("\\", "/"):
-        return []
-    findings: list[Finding] = []
-    for lineno, line in enumerate(src.code_lines, start=1):
-        if not POLICY_DISPATCH.search(line):
-            continue
-        if src.allowed(lineno, "policy-dispatch"):
-            continue
-        findings.append(
-            (src.path, lineno, "policy-dispatch", src.snippet(lineno)))
-    return findings
-
-
-# --------------------------------------------------------------------------
 # builtin engine: whole-tree alias resolution + paren-balanced scanning
 # --------------------------------------------------------------------------
 
@@ -307,42 +379,29 @@ def canonical_type(text: str, aliases: dict[str, str]) -> str:
         return base
 
 
-def banned_alias_names(aliases: dict[str, str], pattern: re.Pattern,
-                       direct: set[str] | None = None) -> set[str]:
-    names = set()
-    for name in aliases:
-        canon = canonical_type(name, aliases)
-        if pattern.search(canon) or (direct and canon in direct):
-            names.add(name)
-    return names
+def banned_alias_names(aliases: dict[str, str],
+                       pattern: re.Pattern) -> set[str]:
+    return {name for name in aliases
+            if pattern.search(canonical_type(name, aliases))}
 
 
 def builtin_rng(sources: list[Source], aliases: dict[str, str]
                 ) -> list[Finding]:
-    """Flag the std engines by name AND any declaration/construction
-    through an alias that canonicalizes to one."""
-    rng_aliases = banned_alias_names(
-        aliases, RNG_CANONICAL, RNG_ALIASES)
-    direct = re.compile(
-        r"\b(" + "|".join(re.escape(n) for n in sorted(RNG_ALIASES)) + r")\b"
-        + "|" + RNG_CANONICAL.pattern
-    )
-    use_patterns = [
+    """Declarations and constructions through an alias that canonicalizes
+    to a std engine; the engine names themselves are the textual rng row."""
+    rng_aliases = banned_alias_names(aliases, RNG_NAMES)
+    if not rng_aliases:
+        return []
+    names = "|".join(re.escape(n) for n in sorted(rng_aliases))
+    use = re.compile(
         # Declaration or construction through the alias:  Rng r;  Rng{...}
-        re.compile(r"\b(" + re.escape(n) + r")\s*(?:<[^;]*>)?\s*"
-                   r"(?:\w+\s*[;({=]|[({])")
-        for n in sorted(rng_aliases)
-    ] + [
+        r"\b(?:" + names + r")\s*(?:<[^;]*>)?\s*(?:\w+\s*[;({=]|[({])"
         # Member-typedef use:  Foo::engine_type r;
-        re.compile(r"\w+::(" + re.escape(n) + r")\b")
-        for n in sorted(rng_aliases)
-    ]
+        r"|\w+::(?:" + names + r")\b")
     findings: list[Finding] = []
     for src in sources:
         for lineno, line in enumerate(src.code_lines, start=1):
-            hit = bool(direct.search(line)) or any(
-                p.search(line) for p in use_patterns)
-            if hit and not src.allowed(lineno, "rng"):
+            if use.search(line) and not src.allowed(lineno, "rng"):
                 findings.append(
                     (src.path, lineno, "rng", src.snippet(lineno)))
     return findings
@@ -387,14 +446,9 @@ def builtin_unordered(sources: list[Source], aliases: dict[str, str]
     return findings
 
 
-SWEEP_CALL = re.compile(r"\b(parallel_for|run_sweep)\s*\(")
-REF_DEFAULT = re.compile(r"\[\s*&\s*[\],]")
-
-
 def builtin_sweep_capture(sources: list[Source]) -> list[Finding]:
     """Default-by-reference capture anywhere inside the parenthesized
-    argument list of a parallel_for/run_sweep call — across newlines,
-    which the one-line regex rule cannot see."""
+    argument list of a parallel_for/run_sweep call, across newlines."""
     findings: list[Finding] = []
     for src in sources:
         code = src.code
@@ -496,7 +550,7 @@ def clang_lint_file(ci, index, src: Source) -> list[Finding]:
         kind = node.kind.name
         if in_this_file:
             if kind in ("VAR_DECL", "FIELD_DECL", "PARM_DECL"):
-                if RNG_CANONICAL.search(canonical(node.type)):
+                if RNG_NAMES.search(canonical(node.type)):
                     emit(node, "rng")
             elif kind == "CXX_FOR_RANGE_STMT":
                 children = list(node.get_children())
@@ -556,64 +610,39 @@ def gather_files(roots: list[str]) -> list[Path] | None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
-        description="AST-grounded semantic lint + layer DAG check")
+        description="Determinism lint + layer DAG check")
     parser.add_argument("roots", nargs="*", default=DEFAULT_DIRS,
                         help="directories or files (default: src tests bench)")
-    parser.add_argument("--layers", default=str(REPO / "tools/layers.toml"),
-                        help="layer DAG declaration (TOML)")
-    parser.add_argument("--engine", choices=["auto", "clang", "builtin"],
-                        default="auto")
-    parser.add_argument("--no-layers", action="store_true",
-                        help="skip the layer-dag rule (fixture runs)")
     args = parser.parse_args(argv[1:])
 
-    files = gather_files(args.roots or DEFAULT_DIRS)
+    files = gather_files(args.roots)
     if files is None:
+        return 2
+    try:
+        rank, overrides = load_layers(REPO / "tools" / "layers.toml")
+    except RuntimeError as exc:
+        print(f"lint_ast: {exc}", file=sys.stderr)
         return 2
     sources = [Source(p) for p in files]
 
-    engine = args.engine
-    ci = None
-    if engine in ("auto", "clang"):
-        ci, reason = load_cindex()
-        if ci is None:
-            if engine == "clang":
-                print(f"lint_ast: --engine clang requested but {reason}",
-                      file=sys.stderr)
-                return 2
-            print(
-                "lint_ast: WARNING: falling back to builtin semantic engine "
-                f"({reason}); canonical-type checks are approximated",
-                file=sys.stderr,
-            )
-            engine = "builtin"
-        else:
-            engine = "clang"
-
-    if engine == "clang":
-        findings = run_clang(ci, sources)
+    ci, reason = load_cindex()
+    if ci is None:
+        print(
+            "lint_ast: WARNING: falling back to builtin semantic engine "
+            f"({reason}); canonical-type checks are approximated",
+            file=sys.stderr,
+        )
+        engine, findings = "builtin", run_builtin(sources)
     else:
-        findings = run_builtin(sources)
+        engine, findings = "clang", run_clang(ci, sources)
 
     for src in sources:
-        findings.extend(check_hot_path_alloc(src))
-        findings.extend(check_policy_dispatch(src))
+        findings += check_text_rules(src)
+        findings += check_hot_path_alloc(src)
+        findings += check_layers(src, rank, overrides)
 
-    if not args.no_layers:
-        layers_path = Path(args.layers)
-        if not layers_path.is_file():
-            print(f"lint_ast: layers file not found: {layers_path}",
-                  file=sys.stderr)
-            return 2
-        try:
-            rank, overrides = load_layers(layers_path)
-        except RuntimeError as exc:
-            print(f"lint_ast: {exc}", file=sys.stderr)
-            return 2
-        for src in sources:
-            findings.extend(check_layers(src, rank, overrides))
-
-    findings.sort(key=lambda f: (str(f[0]), f[1], f[2]))
+    # An engine check and a textual row may both flag one line.
+    findings = sorted(set(findings), key=lambda f: (str(f[0]), f[1], f[2]))
     for path, lineno, rule, detail in findings:
         print(f"{relpath(path)}:{lineno}: [{rule}] {detail}")
 
