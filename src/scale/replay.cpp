@@ -1,7 +1,7 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/scale/replay.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +28,7 @@ ReplayReport replay_structured(const ReplayConfig& config,
   util::BudgetLedger ledger(util::MemoryBudget{options.budget_bytes});
   ledger.charge("scale/replay-offsets",
                 (static_cast<std::size_t>(lat.n_pad) + 1) * sizeof(Slot));
+  // lint: allow(hot-path-alloc) — the O(N_pad) table, charged above, once
   const std::vector<Slot> offsets = envelope::arrival_offsets(lat.n_pad, d);
 
   // Session/registry defaults, mirrored exactly (byte-match tests keep the
@@ -49,6 +50,7 @@ ReplayReport replay_structured(const ReplayConfig& config,
   // Dummy occupancy of the G_d tail positions: tree k places dummy id x at
   // tail offset (x - dI - 1 + k) mod d. Only these d positions ever host a
   // dummy, so the per-position live-tree count is d everywhere else.
+  // lint: allow(hot-path-alloc) — d tail counters, sized once
   std::vector<int> tail_dummies(static_cast<std::size_t>(d), 0);
   for (Count x = n + 1; x <= lat.n_pad; ++x) {
     const Count j = x - d * lat.interior - 1;
@@ -90,25 +92,29 @@ ReplayReport replay_structured(const ReplayConfig& config,
   double delay_sum = 0;
   double buffer_sum = 0;
   double neighbor_sum = 0;
+  // lint: allow(hot-path-alloc) — d residue constants, sized once
   std::vector<Slot> residue(static_cast<std::size_t>(d), 0);
+  // lint: allow(hot-path-alloc) — at most 2d distinct partners, sized once
   std::vector<NodeKey> partners;
   partners.reserve(2 * static_cast<std::size_t>(d));
-  for (NodeKey x = 1; x <= n; ++x) {
+  const auto add_partner = [&partners](NodeKey key) {
+    if (std::find(partners.begin(), partners.end(), key) == partners.end()) {
+      partners.push_back(key);
+    }
+  };
+  envelope::LatticeCursor cursor(lat);
+  for (NodeKey x = 1; x <= n; ++x, cursor.advance()) {
     // Residue constants c_k = A(pos_k(x)) − k (+shift): packets j ≡ k
     // (mod d) arrive at slot j + c_k. The playback delay is their max,
     // clamped at 0 exactly like DelayRecorder.
     Slot a = 0;
     partners.clear();
     for (int k = 0; k < d; ++k) {
-      const Count pos = lat.position_of(k, x);
-      const Slot c = offsets[static_cast<std::size_t>(pos)] - k + shift;
+      const Slot c =
+          offsets[static_cast<std::size_t>(cursor.position(k))] - k + shift;
       residue[static_cast<std::size_t>(k)] = c;
       a = std::max(a, c);
-      const Count parent_pos = (pos - 1) / d;
-      partners.push_back(parent_pos == 0
-                             ? NodeKey{0}
-                             : static_cast<NodeKey>(
-                                   lat.node_at(k, parent_pos)));
+      add_partner(static_cast<NodeKey>(cursor.parent(k)));
     }
     report.worst_delay = std::max(report.worst_delay, a);
     delay_sum += static_cast<double>(a);
@@ -129,22 +135,15 @@ ReplayReport replay_structured(const ReplayConfig& config,
     delay_sketch.add(a);
     buffer_sketch.add(static_cast<std::int64_t>(occ));
 
-    // Children exist only in the single tree where x is interior (block 0
-    // of group i = (x-1)/I); dummies never receive a send.
-    if (lat.interior > 0 && x <= d * lat.interior) {
-      const Count i = (x - 1) / lat.interior;
-      const Count pos = lat.position_of(i, x);
-      for (Count c = 0; c < d; ++c) {
-        const Count cp = d * pos + 1 + c;
-        const Count child = lat.node_at(i, cp);
-        if (child <= n) partners.push_back(static_cast<NodeKey>(child));
-      }
+    // Children exist only in the single tree where x is interior; dummies
+    // never receive a send.
+    if (cursor.interior_tree() >= 0) {
+      cursor.for_each_child([&](Count child) {
+        if (child <= n) add_partner(static_cast<NodeKey>(child));
+      });
     }
-    std::sort(partners.begin(), partners.end());
-    const auto distinct = static_cast<std::size_t>(
-        std::unique(partners.begin(), partners.end()) - partners.begin());
-    report.max_neighbors = std::max(report.max_neighbors, distinct);
-    neighbor_sum += static_cast<double>(distinct);
+    report.max_neighbors = std::max(report.max_neighbors, partners.size());
+    neighbor_sum += static_cast<double>(partners.size());
   }
 
   report.average_delay = delay_sum / static_cast<double>(n);

@@ -24,8 +24,10 @@
 //    children in the single tree where x is interior, deduplicated.
 //
 // The result byte-matches the per-slot pump's serialized QosReport at every
-// N where the pump is feasible (regression-tested); at N = 10^6 the replay
-// is O(N·d) time and O(N_pad) memory and finishes in well under a second.
+// N where the pump is feasible (regression-tested). The replay is O(N·d)
+// time and O(N_pad) memory: at N = 10^6 it takes about 0.16 s at d = 3
+// (bench/perf_scale, best of 3) and about 0.15 s at d = 2, on a 4-core
+// Xeon container with GCC 12.2 at -O2.
 #pragma once
 
 #include <cstdint>

@@ -1,3 +1,4 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/scale/sketch.hpp"
 
 #include <algorithm>
@@ -35,10 +36,10 @@ void GkSketch::add(std::int64_t v) {
   if (buffer_.size() >= buffer_capacity_) flush();
 }
 
-void GkSketch::charge_growth() {
+void GkSketch::charge_growth(std::size_t tuples) {
   if (ledger_ == nullptr) return;
-  const std::size_t bytes = summary_.capacity() * sizeof(Tuple) +
-                            buffer_.capacity() * sizeof(std::int64_t);
+  const std::size_t bytes =
+      tuples * sizeof(Tuple) + buffer_.capacity() * sizeof(std::int64_t);
   if (bytes > charged_bytes_) {
     ledger_->charge("scale/quantile-sketch", bytes - charged_bytes_);
     charged_bytes_ = bytes;
@@ -54,53 +55,50 @@ void GkSketch::flush() {
   // stay exact.
   const auto max_err = static_cast<std::int64_t>(
       std::floor(2.0 * epsilon_ * static_cast<double>(n_)));
+  const std::int64_t interior = std::max<std::int64_t>(0, max_err - 1);
 
-  std::vector<Tuple> merged;
-  merged.reserve(summary_.size() + buffer_.size());
-  std::size_t si = 0;
-  std::size_t bi = 0;
-  while (si < summary_.size() || bi < buffer_.size()) {
-    const bool take_buffer =
-        si == summary_.size() ||
-        (bi < buffer_.size() && buffer_[bi] < summary_[si].v);
-    if (take_buffer) {
-      const bool extreme =
-          merged.empty() ||
-          (si == summary_.size() && bi + 1 == buffer_.size());
-      merged.push_back(Tuple{.v = buffer_[bi],
-                             .g = 1,
-                             .delta = extreme ? 0
-                                             : std::max<std::int64_t>(
-                                                   0, max_err - 1)});
-      ++bi;
-    } else {
-      merged.push_back(summary_[si]);
-      ++si;
+  // One right-to-left pass merges the sorted batch into the summary and
+  // compresses the result, writing into the same array from the back: a
+  // forward merge followed by a right-to-left compress, fused. Every
+  // emitted tuple has consumed at least one input and `carry` holds one
+  // more, so a write never lands on an unread summary slot.
+  const std::size_t total = summary_.size() + buffer_.size();
+  summary_.reserve(total);
+  std::size_t si = summary_.size();
+  std::size_t bi = buffer_.size();
+  summary_.resize(total);
+  // The merged tuple at forward index si + bi - 1, consumed from the back:
+  // the batch value when it is >= the summary value, since forward order
+  // puts the summary tuple first among equals.
+  const auto next = [&] {
+    const std::size_t at = si + bi - 1;
+    if (bi > 0 && (si == 0 || buffer_[bi - 1] >= summary_[si - 1].v)) {
+      --bi;
+      const bool extreme = at == 0 || at == total - 1;
+      return Tuple{.v = buffer_[bi], .g = 1, .delta = extreme ? 0 : interior};
     }
-  }
-  buffer_.clear();
+    return summary_[--si];
+  };
 
-  // Compress right-to-left: fold tuple i into its successor while the
-  // combined rank mass stays within the error cap. The first and last
-  // tuples are exempt, keeping the extremes exact.
-  std::vector<Tuple> compressed;
-  compressed.reserve(merged.size());
-  // Build back-to-front, then reverse.
-  Tuple carry = merged.back();
-  for (std::size_t i = merged.size() - 1; i-- > 0;) {
-    const Tuple& cur = merged[i];
-    const bool is_first = i == 0;
-    if (!is_first && cur.g + carry.g + carry.delta <= max_err) {
-      carry.g += cur.g;  // cur folds into its successor
+  // Fold tuple i into its successor while the combined rank mass stays
+  // within the error cap. The first tuple never folds and the last one
+  // only absorbs, keeping the extremes exact.
+  std::size_t out = total;
+  Tuple carry = next();
+  for (std::size_t i = total - 1; i-- > 0;) {
+    const Tuple cur = next();
+    if (i > 0 && cur.g + carry.g + carry.delta <= max_err) {
+      carry.g += cur.g;
     } else {
-      compressed.push_back(carry);
+      summary_[--out] = carry;
       carry = cur;
     }
   }
-  compressed.push_back(carry);
-  std::reverse(compressed.begin(), compressed.end());
-  summary_ = std::move(compressed);
-  charge_growth();
+  summary_[--out] = carry;
+  summary_.erase(summary_.begin(),
+                 summary_.begin() + static_cast<std::ptrdiff_t>(out));
+  buffer_.clear();
+  charge_growth(total);
 }
 
 std::int64_t GkSketch::quantile(double q) {

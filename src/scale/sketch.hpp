@@ -1,3 +1,4 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 // Streaming distribution sketches for the million-node scale path
 // (DESIGN.md §11).
 //
@@ -78,14 +79,21 @@ class GkSketch {
     std::int64_t delta = 0;
   };
 
+  /// Merges the sorted insert buffer into the summary and compresses it,
+  /// in place: once the summary is sized, a flush allocates nothing.
   void flush();
-  void charge_growth();
+  /// Charges the ledger up to `tuples` summary tuples (the summary before
+  /// the flush plus the batch, the array the flush works in) and the
+  /// buffer's capacity, as a running maximum.
+  void charge_growth(std::size_t tuples);
 
   double epsilon_;
   util::BudgetLedger* ledger_;
   std::size_t buffer_capacity_;
   std::int64_t n_ = 0;
+  // lint: allow(hot-path-alloc) — sized up to summary + batch, reused
   std::vector<Tuple> summary_;
+  // lint: allow(hot-path-alloc) — one batch, cleared and reused per flush
   std::vector<std::int64_t> buffer_;
   std::size_t charged_bytes_ = 0;
 };

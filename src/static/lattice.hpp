@@ -8,7 +8,9 @@
 // truth:
 //
 //   * src/scale/replay.cpp evaluates them at runtime for the million-node
-//     replay (byte-identical to the per-slot pump, regression-tested);
+//     replay (byte-identical to the per-slot pump, regression-tested),
+//     walking the receivers with LatticeCursor, the division-free
+//     incremental form of position_of and node_at;
 //   * src/multitree delegates its closed-form analysis to them;
 //   * src/static/proofs.cpp evaluates them at *compile time* and
 //     static_asserts the paper's Theorem 2 envelope over a (N, d) grid — a
@@ -81,6 +83,141 @@ struct Lattice {
     }
     return depth;
   }
+};
+
+/// Walks the receivers x = 1, 2, ... of a Lattice in key order, from x = 1,
+/// and keeps for every tree k what position_of(k, x) and node_at(k, parent)
+/// would return, without their divisions. The receivers of group
+/// i = (x-1)/I sit at consecutive positions of one block in every tree,
+/// with an intra-block rotation of floor(k/P) < gcd(I, d) <= I, so a step
+/// adds one to each tree's position and to the remainder of its parent
+/// position. Divisions remain only where a group starts or a rotated
+/// position wraps inside its block (at most 2d per group of I receivers)
+/// and once per for_each_child().
+class LatticeCursor {
+ public:
+  explicit LatticeCursor(const Lattice& lat)
+      : lat_(lat),
+        trees_(static_cast<std::size_t>(lat.d)),
+        group_(lat.interior == 0 ? lat.d : 0) {
+    for (Count k = 0; k < lat.d; ++k) at(k).rot = k / lat.p;
+    enter_group();
+  }
+
+  /// lat.position_of(k, x) for the current receiver x.
+  Count position(Count k) const { return at(k).pos; }
+
+  /// The key of x's parent in tree k, 0 for the source. Parents sit at
+  /// positions 1..I of block 0 (tree k's group-k receivers), where
+  /// node_at(k, q) = k·I + ((q − 1 − floor(k/P)) mod I) + 1.
+  Count parent(Count k) const {
+    const Tree& t = at(k);
+    if (t.parent_pos == 0) return 0;
+    Count j = t.parent_pos - 1 - t.rot;
+    if (j < 0) j += lat_.interior;
+    return k * lat_.interior + j + 1;
+  }
+
+  /// The one tree in which x has children (its group), or -1 for a tail
+  /// receiver (x > d·I), which is a leaf in every tree.
+  Count interior_tree() const { return group_ < lat_.d ? group_ : -1; }
+
+  /// Calls f(lat.node_at(i, c)) for the d child positions c of x in its
+  /// interior tree i, in position order; keys above n are dummies.
+  /// The children are consecutive positions: divide once, then step.
+  template <class F>
+  void for_each_child(F&& f) const {
+    const Count i = group_;
+    const Count d = lat_.d;
+    const Count width = lat_.interior;
+    const Count first = d * at(i).pos;  // child position - 1 of child 0
+    if (first >= d * width) {  // x holds position I: children are the tail
+      for (Count c = 0; c < d; ++c) {
+        f(d * width + (c >= i ? c - i : c - i + d) + 1);
+      }
+      return;
+    }
+    Count block = first / width;
+    Count slot = first % width;
+    for (Count c = 0; c < d; ++c) {
+      Count owner = block + i;
+      if (owner >= d) owner -= d;
+      Count j = slot - at(i).rot;
+      if (j < 0) j += width;
+      f(owner * width + j + 1);
+      if (++slot == width) {
+        slot = 0;
+        ++block;
+      }
+    }
+  }
+
+  /// Moves to receiver x + 1. A step from x = n_pad stays in bounds, and
+  /// what it leaves names no receiver.
+  void advance() {
+    if (group_ == lat_.d) {  // tail: tree k holds t = x−dI−1 at (t+k) mod d
+      for (Tree& t : trees_) {
+        if (++t.pos > lat_.n_pad) t.pos = lat_.d * lat_.interior + 1;
+      }
+      return;
+    }
+    if (++offset_ == lat_.interior) {
+      offset_ = 0;
+      ++group_;
+      enter_group();
+      return;
+    }
+    for (Tree& t : trees_) {
+      if (offset_ + t.rot == lat_.interior) {  // the rotated slot wraps to 0
+        t.pos -= lat_.interior - 1;
+        locate_parent(t);
+      } else {
+        ++t.pos;
+        if (++t.parent_rem == lat_.d) {
+          t.parent_rem = 0;
+          ++t.parent_pos;
+        }
+      }
+    }
+  }
+
+ private:
+  struct Tree {
+    Count rot = 0;         // floor(k/P)
+    Count pos = 0;         // position of x in this tree
+    Count parent_pos = 0;  // (pos − 1) / d
+    Count parent_rem = 0;  // (pos − 1) mod d
+  };
+
+  Tree& at(Count k) { return trees_[static_cast<std::size_t>(k)]; }
+  const Tree& at(Count k) const { return trees_[static_cast<std::size_t>(k)]; }
+
+  void locate_parent(Tree& t) const {
+    t.parent_pos = (t.pos - 1) / lat_.d;
+    t.parent_rem = (t.pos - 1) % lat_.d;
+  }
+
+  // Positions of the first receiver of group_ (offset 0): block
+  // (group − k) mod d, slot floor(k/P). Group d is the tail, whose parent
+  // in every tree is position I.
+  void enter_group() {
+    for (Count k = 0; k < lat_.d; ++k) {
+      Tree& t = at(k);
+      if (group_ == lat_.d) {
+        t.pos = lat_.d * lat_.interior + k + 1;
+        t.parent_pos = lat_.interior;
+        continue;
+      }
+      const Count block = group_ >= k ? group_ - k : group_ - k + lat_.d;
+      t.pos = block * lat_.interior + t.rot + 1;
+      locate_parent(t);
+    }
+  }
+
+  Lattice lat_;
+  std::vector<Tree> trees_;
+  Count group_;       // i = (x−1)/I, or d in the tail
+  Count offset_ = 0;  // j = (x−1) mod I
 };
 
 /// Arrival offset A(p) of the round-robin schedule (§2.2.3, identical for

@@ -1,6 +1,7 @@
 // Million-node scale subsystem tests (DESIGN.md §11): GK sketch accuracy
-// against exact ranks, budget fail-fast, the structured placement inverse,
-// and the closed-form replay's byte-identity with the per-slot pump.
+// against exact ranks and exact output against a three-pass reference
+// model, budget fail-fast, the structured placement inverse, and the
+// closed-form replay's byte-identity with the per-slot pump.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -108,6 +109,163 @@ TEST(GkSketch, SummaryStaysSublinear) {
   EXPECT_LT(sketch.summary_size(), 2'000u);
 }
 
+/// The three-pass flush GkSketch used before its one-pass in-place form,
+/// kept as the reference model of its exact output: a forward merge into a
+/// fresh array (on equal values the summary tuple first), a right-to-left
+/// compress into another, and a reverse. The ledger figure is the
+/// summary's capacity, which the compress array's reserve() makes exactly
+/// summary + batch, plus the buffer's capacity.
+class ReferenceGk {
+ public:
+  ReferenceGk(double epsilon, util::BudgetLedger* ledger)
+      : epsilon_(epsilon),
+        ledger_(ledger),
+        batch_(std::max<std::size_t>(
+            16, static_cast<std::size_t>(std::floor(1.0 / (2.0 * epsilon))))) {}
+
+  void add(std::int64_t v) {
+    buffer_.push_back(v);
+    if (buffer_.size() >= batch_) flush();
+  }
+
+  std::int64_t quantile(double q) {
+    flush();
+    const std::int64_t r = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(std::ceil(q * static_cast<double>(n_))), 1,
+        n_);
+    const auto tolerance = static_cast<std::int64_t>(
+        std::floor(epsilon_ * static_cast<double>(n_)));
+    std::int64_t rmin = 0;
+    std::int64_t best_v = summary_.front().v;
+    std::int64_t best_dist = std::numeric_limits<std::int64_t>::max();
+    for (const Tuple& t : summary_) {
+      rmin += t.g;
+      const std::int64_t rmax = rmin + t.delta;
+      if (r - rmin <= tolerance && rmax - r <= tolerance) return t.v;
+      const std::int64_t mid = (rmin + rmax) / 2;
+      const std::int64_t dist = mid > r ? mid - r : r - mid;
+      if (dist < best_dist) {
+        best_dist = dist;
+        best_v = t.v;
+      }
+    }
+    return best_v;
+  }
+
+  std::size_t summary_size() const { return summary_.size(); }
+
+ private:
+  struct Tuple {
+    std::int64_t v = 0;
+    std::int64_t g = 0;
+    std::int64_t delta = 0;
+  };
+
+  void flush() {
+    if (buffer_.empty()) return;
+    std::sort(buffer_.begin(), buffer_.end());
+    n_ += static_cast<std::int64_t>(buffer_.size());
+    const auto max_err = static_cast<std::int64_t>(
+        std::floor(2.0 * epsilon_ * static_cast<double>(n_)));
+    const std::int64_t interior = std::max<std::int64_t>(0, max_err - 1);
+    std::vector<Tuple> merged;
+    std::size_t si = 0;
+    std::size_t bi = 0;
+    while (si < summary_.size() || bi < buffer_.size()) {
+      if (si == summary_.size() ||
+          (bi < buffer_.size() && buffer_[bi] < summary_[si].v)) {
+        const bool extreme = merged.empty() || (si == summary_.size() &&
+                                                bi + 1 == buffer_.size());
+        const std::int64_t delta = extreme ? 0 : interior;
+        merged.push_back(Tuple{.v = buffer_[bi], .g = 1, .delta = delta});
+        ++bi;
+      } else {
+        merged.push_back(summary_[si++]);
+      }
+    }
+    buffer_.clear();
+    std::vector<Tuple> compressed;
+    compressed.reserve(merged.size());
+    Tuple carry = merged.back();
+    for (std::size_t i = merged.size() - 1; i-- > 0;) {
+      const Tuple& cur = merged[i];
+      if (i != 0 && cur.g + carry.g + carry.delta <= max_err) {
+        carry.g += cur.g;
+      } else {
+        compressed.push_back(carry);
+        carry = cur;
+      }
+    }
+    compressed.push_back(carry);
+    std::reverse(compressed.begin(), compressed.end());
+    summary_ = std::move(compressed);
+    const std::size_t bytes = summary_.capacity() * sizeof(Tuple) +
+                              buffer_.capacity() * sizeof(std::int64_t);
+    if (bytes > charged_) {
+      ledger_->charge("reference", bytes - charged_);
+      charged_ = bytes;
+    }
+  }
+
+  double epsilon_;
+  util::BudgetLedger* ledger_;
+  std::size_t batch_;
+  std::int64_t n_ = 0;
+  std::vector<Tuple> summary_;
+  std::vector<std::int64_t> buffer_;
+  std::size_t charged_ = 0;
+};
+
+TEST(GkSketch, MatchesThreePassReferenceExactly) {
+  // Exact tuples, not just ε-ranks: the replay's digests pin the sketch's
+  // quantiles, so the tie rule, the Δ = 0 extremes and the ledger figure
+  // must all match the reference. Every third stream never queries before
+  // its end; the others query at a stream-specific period, which also
+  // flushes partial batches.
+  std::uint64_t stream = 0;
+  for (const double epsilon : {0.001, 0.005, 0.01, 0.05, 0.2, 0.49}) {
+    for (const std::int64_t range : {2, 3, 50, 1'000, 1'000'000}) {
+      for (const std::int64_t length : {1, 100, 4'321, 200'000}) {
+        ++stream;
+        util::BudgetLedger ledger(util::MemoryBudget{});
+        util::BudgetLedger reference_ledger(util::MemoryBudget{});
+        scale::GkSketch sketch(epsilon, &ledger);
+        ReferenceGk reference(epsilon, &reference_ledger);
+        const std::int64_t period =
+            stream % 3 == 0
+                ? 0
+                : 1 + static_cast<std::int64_t>(mix(stream) % 2'000);
+        const auto span = static_cast<std::uint64_t>(range);
+        for (std::int64_t i = 1; i <= length; ++i) {
+          const std::uint64_t draw =
+              mix(stream * 1'000'003 + static_cast<std::uint64_t>(i));
+          const std::int64_t v =
+              static_cast<std::int64_t>(draw % span) - range / 3;
+          sketch.add(v);
+          reference.add(v);
+          if (period != 0 && i % period == 0) {
+            const double q = static_cast<double>(draw % 101) / 100.0;
+            ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
+                << "stream=" << stream << " eps=" << epsilon << " i=" << i;
+            ASSERT_EQ(sketch.summary_size(), reference.summary_size())
+                << "stream=" << stream << " i=" << i;
+          }
+        }
+        for (const double q :
+             {0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0}) {
+          ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
+              << "stream=" << stream << " eps=" << epsilon
+              << " range=" << range << " length=" << length << " q=" << q;
+        }
+        ASSERT_EQ(sketch.summary_size(), reference.summary_size())
+            << "stream=" << stream;
+        ASSERT_EQ(ledger.peak(), reference_ledger.peak())
+            << "stream=" << stream;
+      }
+    }
+  }
+}
+
 TEST(DistributionSketch, MomentsMatchExactArithmetic) {
   scale::DistributionSketch sketch(0.01);
   std::int64_t mn = std::numeric_limits<std::int64_t>::max();
@@ -201,7 +359,8 @@ QosReport run_replayed(SessionConfig cfg) {
 }
 
 TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
-  for (const NodeKey n : {1, 2, 3, 4, 7, 9, 13, 24, 40, 63, 100, 121, 365}) {
+  for (const NodeKey n :
+       {1, 2, 3, 4, 7, 9, 13, 24, 40, 63, 100, 121, 365, 1000, 4097}) {
     for (const int d : {1, 2, 3, 4, 5}) {
       for (const auto mode : {multitree::StreamMode::kPreRecorded,
                               multitree::StreamMode::kLivePrebuffered}) {

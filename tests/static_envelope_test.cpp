@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <vector>
 
 #include "src/baseline/chain.hpp"
 #include "src/baseline/single_tree.hpp"
@@ -86,6 +88,54 @@ TEST(StaticEnvelope, LatticeMatchesStructuredForest) {
       }
     }
   }
+}
+
+TEST(StaticEnvelope, LatticeCursorMatchesPositionAndNodeAt) {
+  // The walk must agree with the dividing formulas at every key up to
+  // n_pad, across I = 0 (n <= d), I < d and gcd(I, d) > 1 lattices.
+  bool saw_no_interior = false;
+  bool saw_narrow = false;
+  bool saw_rotation = false;
+  for (envelope::Count d = 1; d <= 6; ++d) {
+    for (envelope::Count n = 1; n <= 300; ++n) {
+      const envelope::Lattice lat(n, d);
+      const envelope::Count width = lat.interior;
+      saw_no_interior |= width == 0;
+      saw_narrow |= width > 0 && width < d;
+      saw_rotation |= width > 0 && std::gcd(width, d) > 1;
+      envelope::LatticeCursor cursor(lat);
+      for (envelope::Count x = 1; x <= lat.n_pad; ++x) {
+        for (envelope::Count k = 0; k < d; ++k) {
+          const envelope::Count pos = lat.position_of(k, x);
+          ASSERT_EQ(cursor.position(k), pos)
+              << "n=" << n << " d=" << d << " k=" << k << " x=" << x;
+          const envelope::Count parent_pos = (pos - 1) / d;
+          ASSERT_EQ(cursor.parent(k),
+                    parent_pos == 0 ? 0 : lat.node_at(k, parent_pos))
+              << "n=" << n << " d=" << d << " k=" << k << " x=" << x;
+        }
+        const envelope::Count tree = cursor.interior_tree();
+        ASSERT_EQ(tree, x <= d * width ? (x - 1) / width : -1)
+            << "n=" << n << " d=" << d << " x=" << x;
+        if (tree >= 0) {
+          std::vector<envelope::Count> children;
+          cursor.for_each_child(
+              [&](envelope::Count child) { children.push_back(child); });
+          ASSERT_EQ(children.size(), static_cast<std::size_t>(d));
+          const envelope::Count pos = lat.position_of(tree, x);
+          for (envelope::Count c = 0; c < d; ++c) {
+            ASSERT_EQ(children[static_cast<std::size_t>(c)],
+                      lat.node_at(tree, d * pos + 1 + c))
+                << "n=" << n << " d=" << d << " x=" << x << " c=" << c;
+          }
+        }
+        if (x < lat.n_pad) cursor.advance();
+      }
+    }
+  }
+  EXPECT_TRUE(saw_no_interior);
+  EXPECT_TRUE(saw_narrow);
+  EXPECT_TRUE(saw_rotation);
 }
 
 TEST(StaticEnvelope, HypercubeMatchesDecomposition) {
