@@ -16,10 +16,20 @@
 //     at the end of slot t, packet m is held by min(2^(t-m), 2^k-1) nodes.
 //   * Consumption: packet m leaves every buffer of the segment after its
 //     cube-wide consumption slot start + m + k.
+//
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
+//
+// A node's buffer is one 64-bit word anchored at its segment's consumption
+// cursor: bit i means it holds packet next_consume + i. The word holds every
+// case, lossy links included: retirement leaves next_consume >= tau - k, no
+// packet above tau exists in the segment yet (repairs only fill gaps below a
+// node's highest held id), and deliver() refuses ids below the cursor, so
+// every held offset is at most k <= floor(log2(N + 1)) <= 31. Retiring a
+// packet shifts each member's word right by one; the exchange takes the
+// lowest set bit of `mine & ~theirs`.
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -36,10 +46,14 @@ class HypercubeProtocol final : public sim::Protocol {
   /// `source_key` is the node that injects fresh packets into each chain's
   /// first segment: the global source 0 for single-cluster streaming, a
   /// cluster's local root S'_i inside the super-tree composition.
+  // lint: allow(hot-path-alloc) — the chains, taken once at construction
   explicit HypercubeProtocol(std::vector<std::vector<Segment>> chains,
                              NodeKey source_key = 0);
 
+  // lint: allow(hot-path-alloc) — appends to the engine's slot list
   void transmit(Slot t, std::vector<Tx>& out) override;
+  /// Throws std::logic_error for a node outside every cube or a packet
+  /// beyond the node's buffer word (both impossible in a valid schedule).
   void deliver(Slot t, const Tx& tx) override;
 
   /// Total receivers across all chains.
@@ -63,12 +77,18 @@ class HypercubeProtocol final : public sim::Protocol {
     PacketId next_consume = 0;
   };
 
+  // lint: allow(hot-path-alloc) — one entry per segment, fixed at setup
   std::vector<std::vector<SegState>> chains_;
   NodeKey source_key_ = 0;
-  std::vector<std::set<PacketId>> held_;  // by node key; [source] unused
-  std::vector<bool> failed_;              // crashed receivers
+  /// By node key: bit i = holds packet next_consume + i of the node's
+  /// segment; [source] stays 0.
+  // lint: allow(hot-path-alloc) — one word per node, sized once
+  std::vector<std::uint64_t> held_;
+  // lint: allow(hot-path-alloc) — crashed receivers, sized once
+  std::vector<bool> failed_;
   /// Node key -> (chain, segment) of the cube the node belongs to;
   /// {-1, -1} for the source.
+  // lint: allow(hot-path-alloc) — one entry per node, sized once
   std::vector<std::pair<std::int32_t, std::int32_t>> seg_of_;
   NodeKey receivers_ = 0;
   std::size_t max_buffered_ = 0;

@@ -1,6 +1,8 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/rrd/protocol.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace streamcast::rrd {
@@ -15,7 +17,16 @@ RandomRegularProtocol::RandomRegularProtocol(Digraph graph, int peer_budget)
     : graph_(std::move(graph)),
       peer_budget_(peer_budget),
       holds_(static_cast<std::size_t>(graph_.n) + 1),
-      recv_used_(static_cast<std::size_t>(graph_.n) + 1, 0) {}
+      recv_used_(static_cast<std::size_t>(graph_.n) + 1, 0),
+      claimed_((static_cast<std::size_t>(graph_.n) + 1) *
+               static_cast<std::size_t>(graph_.d)) {}
+
+bool RandomRegularProtocol::claimed(NodeKey to, PacketId p) const {
+  const auto row = claimed_.begin() + static_cast<std::ptrdiff_t>(to) *
+                                          static_cast<std::ptrdiff_t>(graph_.d);
+  const auto end = row + recv_used_[static_cast<std::size_t>(to)];
+  return std::find(row, end, p) != end;
+}
 
 PacketId RandomRegularProtocol::oldest_useful(NodeKey from, NodeKey to,
                                               Slot t) const {
@@ -29,7 +40,7 @@ PacketId RandomRegularProtocol::oldest_useful(NodeKey from, NodeKey to,
   for (PacketId p = target.gap_free_prefix(); p < from_end; ++p) {
     if (target.has(p)) continue;
     if (from_holds != nullptr && !from_holds->has(p)) continue;
-    if (claimed_.contains({to, p})) continue;
+    if (claimed(to, p)) continue;
     return p;
   }
   return kNoPacket;
@@ -42,39 +53,44 @@ PacketId RandomRegularProtocol::latest_useful(NodeKey from,
   for (PacketId p = sender.highest_held(); p >= target.gap_free_prefix();
        --p) {
     if (!sender.has(p) || target.has(p)) continue;
-    if (claimed_.contains({to, p})) continue;
+    if (claimed(to, p)) continue;
     return p;
   }
   return kNoPacket;
 }
 
+// lint: allow(hot-path-alloc) — appends to the engine's slot list
 void RandomRegularProtocol::transmit(Slot t, std::vector<Tx>& out) {
   std::fill(recv_used_.begin(), recv_used_.end(), 0);
-  claimed_.clear();
 
+  // Every caller has checked that `to` has download room, so its claim row
+  // has a free entry.
   const auto claim = [&](NodeKey from, NodeKey to, PacketId p) {
     out.push_back(Tx{from, to, p, /*tag=*/0, /*retransmit=*/false});
-    claimed_.insert({to, p});
-    ++recv_used_[static_cast<std::size_t>(to)];
+    int& used = recv_used_[static_cast<std::size_t>(to)];
+    assert(used < graph_.d);
+    claimed_[static_cast<std::size_t>(to) *
+                 static_cast<std::size_t>(graph_.d) +
+             static_cast<std::size_t>(used++)] = p;
   };
 
   // Repair push: the most deprived neighbor (smallest gap-free prefix, ties
   // by key) that still has download room gets the oldest packet it lacks.
-  std::vector<std::pair<PacketId, NodeKey>> targets;
   const auto repair_push = [&](NodeKey from,
+                               // lint: allow(hot-path-alloc) — a view
                                const std::vector<NodeKey>& neighbors,
                                int budget) {
-    targets.clear();
+    targets_.clear();
     for (const NodeKey v : neighbors) {
-      targets.emplace_back(
+      targets_.emplace_back(
           holds_[static_cast<std::size_t>(v)].gap_free_prefix(), v);
     }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()),
-                  targets.end());
+    std::sort(targets_.begin(), targets_.end());
+    targets_.erase(std::unique(targets_.begin(), targets_.end()),
+                   targets_.end());
     for (int used = 0; used < budget; ++used) {
       bool sent = false;
-      for (const auto& [prefix, v] : targets) {
+      for (const auto& [prefix, v] : targets_) {
         if (recv_used_[static_cast<std::size_t>(v)] >= graph_.d) continue;
         const PacketId p = oldest_useful(from, v, t);
         if (p == kNoPacket) continue;

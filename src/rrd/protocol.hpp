@@ -9,14 +9,20 @@
 // heavy delay tail, oldest-only starves the frontier and the swarm's
 // throughput collapses below the stream rate (see transmit()). The source
 // paces the stream at rate 1 (packet p exists from slot p) and spends its
-// capacity d on its entry receivers. A per-slot claim set keeps concurrent
+// capacity d on its entry receivers. Per-slot claims keep concurrent
 // senders from double-targeting the same (receiver, packet) pair, so the
 // overlay stays duplicate-free under the engine's forbid_duplicates check
 // without any coordination beyond the shared omniscient state the other
 // scheme protocols already assume (see HypercubeProtocol).
+//
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
+//
+// A receiver takes at most d claims per slot (its download capacity, which
+// every claim path checks first), so the claims are a flat [receiver][d]
+// row whose fill count is the per-slot receive count: "claimed for v this
+// slot" scans at most d ids, and zeroing the counts clears every row.
 #pragma once
 
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -40,6 +46,7 @@ class RandomRegularProtocol final : public sim::Protocol {
   /// window beyond small N). One extra upload absorbs that waste.
   explicit RandomRegularProtocol(Digraph graph, int peer_budget = 2);
 
+  // lint: allow(hot-path-alloc) — appends to the engine's slot list
   void transmit(Slot t, std::vector<Tx>& out) override;
   void deliver(Slot t, const Tx& tx) override;
 
@@ -51,15 +58,26 @@ class RandomRegularProtocol final : public sim::Protocol {
   /// Newest such packet (receivers only) — the frontier-spreading side of
   /// the policy; see transmit() for why both are needed.
   PacketId latest_useful(sim::NodeKey from, sim::NodeKey to) const;
+  /// True once some sender claimed packet p for `to` in this slot.
+  bool claimed(sim::NodeKey to, PacketId p) const;
 
   Digraph graph_;
   int peer_budget_;
   /// holds_[v] = packets receiver v has (index 0, the source, unused).
+  // lint: allow(hot-path-alloc) — one tracker per node, sized once
   std::vector<loss::SequenceTracker> holds_;
 
-  // Per-slot scratch, reset at the top of transmit().
+  // Per-slot state: zeroing recv_used_ at the top of transmit() empties
+  // every claim row.
+  /// Packets claimed for each node this slot, at most d.
+  // lint: allow(hot-path-alloc) — one count per node, sized once
   std::vector<int> recv_used_;
-  std::set<std::pair<sim::NodeKey, PacketId>> claimed_;
+  /// claimed_[v * d + i] for i < recv_used_[v]: the packets claimed for v.
+  // lint: allow(hot-path-alloc) — d ids per node, sized once
+  std::vector<PacketId> claimed_;
+  /// Repair-push scratch: (gap-free prefix, neighbor), sorted.
+  // lint: allow(hot-path-alloc) — at most d entries, capacity reused
+  std::vector<std::pair<PacketId, sim::NodeKey>> targets_;
 };
 
 }  // namespace streamcast::rrd

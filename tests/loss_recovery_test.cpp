@@ -3,6 +3,7 @@
 // under heavy loss, and the playback-continuity metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -53,6 +54,16 @@ class Scripted final : public sim::Protocol {
 
  private:
   std::vector<std::pair<Slot, Tx>> script_;
+};
+
+/// Records the post-repair stream's data packets, decoded ones included.
+class Arrivals final : public sim::DeliveryObserver {
+ public:
+  void on_delivery(const Delivery& d) override {
+    if (d.tx.packet < sim::kControlIdBase) packets.push_back(d.tx.packet);
+  }
+
+  std::vector<PacketId> packets;
 };
 
 /// Deterministic loss: erases the nth transmission of each listed packet id.
@@ -334,6 +345,103 @@ TEST(RecoveryProtocol, LostParityLeavesWindowUnprotected) {
 
   EXPECT_EQ(recovery.stats().fec_decodes, 0);
   EXPECT_EQ(recovery.gap_free_prefix(1), 1);  // the gap never closes
+}
+
+TEST(RecoveryProtocol, NackSeatPastDroppedIdNeverRepairsIt) {
+  net::UniformCluster base(2, 1);
+  net::ProvisionedTopology topo(base, 1, 1);
+  Scripted inner;
+  for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
+  RecoveryProtocol recovery(topo, inner, RecoveryOptions{.policy = "nack"});
+  Arrivals arrivals;
+  recovery.add_observer(arrivals);
+  DropSpecific model;
+  model.drop(2);
+  sim::Engine engine(topo, recovery);
+  engine.set_loss_model(&model);
+  engine.add_observer(recovery);
+  engine.run_until(3);  // packet 2 is lost in slot 2
+  ASSERT_EQ(engine.stats().drops, 1);
+  EXPECT_FALSE(recovery.gaps_resolved(1, 1, 3));
+  // A joiner seated at live edge 4 owes nothing below it.
+  recovery.seat(1, 4);
+  EXPECT_TRUE(recovery.gaps_resolved(1, 1, 3));
+  engine.run_until(20);
+
+  EXPECT_EQ(recovery.stats().retransmissions, 0);
+  EXPECT_EQ(engine.stats().retransmissions, 0);
+  EXPECT_EQ(engine.stats().drops, 1);
+  EXPECT_EQ(recovery.gap_free_prefix(1), 8);
+  EXPECT_TRUE(recovery.gaps_resolved(1, 1, 8));
+  EXPECT_EQ(std::ranges::count(arrivals.packets, 2), 0);
+}
+
+TEST(RecoveryProtocol, XorSeatPastOneLossDecodesTheOther) {
+  net::UniformCluster base(2, 1);
+  net::ProvisionedTopology topo(base, 1, 1);
+  Scripted inner;
+  for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
+  RecoveryProtocol recovery(
+      topo, inner,
+      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  Arrivals arrivals;
+  recovery.add_observer(arrivals);
+  DropSpecific model;
+  model.drop(1);
+  model.drop(2);  // two losses: window [0, 4) cannot decode yet
+  sim::Engine engine(topo, recovery);
+  engine.set_loss_model(&model);
+  engine.add_observer(recovery);
+  engine.run_until(4);  // the window's parity arrived in slot 3
+  ASSERT_EQ(recovery.stats().parity_transmissions, 1);
+  EXPECT_EQ(recovery.stats().fec_decodes, 0);
+  EXPECT_FALSE(recovery.gaps_resolved(1, 1, 4));
+  // Seating at live edge 2 forgives packet 1 (XorParityPolicy::on_seat
+  // counts it as arrived), so the window is one loss short and the next
+  // arrival decodes packet 2 from the parity.
+  recovery.seat(1, 2);
+  engine.run_until(12);
+
+  EXPECT_EQ(recovery.stats().fec_decodes, 1);
+  EXPECT_EQ(recovery.stats().retransmissions, 0);
+  EXPECT_EQ(recovery.gap_free_prefix(1), 8);
+  EXPECT_TRUE(recovery.gaps_resolved(1, 1, 8));
+  EXPECT_EQ(std::ranges::count(arrivals.packets, 1), 0);
+  EXPECT_EQ(std::ranges::count(arrivals.packets, 2), 1);
+}
+
+TEST(RecoveryProtocol, XorLateArrivalDecodesWindowsLastLoss) {
+  // Two losses in one window leave it unresolved when its parity arrives;
+  // a late resend of one loss brings it down to one missing packet, which
+  // the parity then decodes (XorParityPolicy::try_resolve).
+  net::UniformCluster base(2, 1);
+  net::ProvisionedTopology topo(base, 1, 1);
+  Scripted inner;
+  for (Slot t = 0; t < 4; ++t) inner.at(t, tx(0, 1, t));
+  inner.at(6, tx(0, 1, 1));  // the late resend
+  RecoveryProtocol recovery(
+      topo, inner,
+      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  DropSpecific model;
+  model.drop(1);
+  model.drop(2);
+  sim::Engine engine(topo, recovery);
+  engine.set_loss_model(&model);
+  engine.add_observer(recovery);
+  engine.run_until(6);
+  ASSERT_EQ(recovery.stats().parity_transmissions, 1);
+  EXPECT_EQ(recovery.stats().fec_decodes, 0);
+  EXPECT_EQ(recovery.gap_free_prefix(1), 1);
+  engine.run_until(10);
+
+  EXPECT_EQ(recovery.stats().fec_decodes, 1);
+  EXPECT_EQ(recovery.gap_free_prefix(1), 4);
+  // The in-order gate released the window in packet order once both gaps
+  // closed: 1 by the resend, 2 by the decode.
+  ASSERT_EQ(inner.delivered.size(), 4u);
+  for (PacketId p = 0; p < 4; ++p) {
+    EXPECT_EQ(inner.delivered[static_cast<std::size_t>(p)].tx.packet, p);
+  }
 }
 
 TEST(RecoveryProtocol, ZeroLossSchedulePassesThroughUntouched) {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/metrics/buffers.hpp"
@@ -102,6 +104,79 @@ TEST(BufferOccupancy, PaperNodeOneNeedsThreeWithStartThree) {
 TEST(BufferOccupancy, InfeasibleStartThrows) {
   const std::vector<Slot> arrivals{5, 6};
   EXPECT_THROW(occupancy_series(arrivals, 0), std::logic_error);
+}
+
+/// occ(t) straight from the definition in buffers.hpp, one slot at a time;
+/// nullopt where the start is infeasible.
+std::optional<std::size_t> brute_force_max(const std::vector<Slot>& arrivals,
+                                           Slot start) {
+  const auto window = static_cast<Slot>(arrivals.size());
+  Slot last = start + window - 1;
+  for (const Slot a : arrivals) last = std::max(last, a);
+  std::size_t peak = 0;
+  for (Slot t = 0; t <= last; ++t) {
+    const auto received = std::ranges::count_if(
+        arrivals, [&](Slot a) { return a <= t; });
+    const Slot played = std::clamp<Slot>(t - start, 0, window);
+    if (received < played) return std::nullopt;
+    peak = std::max(peak, static_cast<std::size_t>(received - played));
+  }
+  return peak;
+}
+
+TEST(BufferOccupancy, MaximumMatchesSeriesAndDefinitionOnSeededRows) {
+  util::Prng prng(42);
+  int thrown = 0;
+  int long_rows = 0;
+  for (int row_index = 0; row_index < 3000; ++row_index) {
+    // Short windows, and a tail of long ones whose series outgrows the
+    // stack-counted rows.
+    const auto window = static_cast<std::size_t>(
+        prng.chance(0.9) ? prng.range(1, 40) : prng.range(200, 320));
+    std::vector<Slot> arrivals(window);
+    for (std::size_t j = 0; j < window; ++j) {
+      // Packet j arrives up to 12 slots either side of slot j.
+      arrivals[j] =
+          std::max<Slot>(0, static_cast<Slot>(j) + prng.range(-12, 12));
+    }
+    Slot feasible = 0;
+    for (std::size_t j = 0; j < window; ++j) {
+      feasible = std::max(feasible, arrivals[j] - static_cast<Slot>(j));
+    }
+    // Starts around the per-packet feasibility point, below it included.
+    const Slot start = std::max<Slot>(0, feasible + prng.range(-6, 6));
+    if (start + static_cast<Slot>(window) > 256) ++long_rows;
+    const std::optional<std::size_t> expected =
+        brute_force_max(arrivals, start);
+    if (expected) {
+      EXPECT_EQ(max_buffer_occupancy(arrivals, start), *expected)
+          << "row " << row_index;
+      const auto series = occupancy_series(arrivals, start);
+      EXPECT_EQ(*std::ranges::max_element(series), *expected)
+          << "row " << row_index;
+    } else {
+      ++thrown;
+      EXPECT_THROW(max_buffer_occupancy(arrivals, start), std::logic_error)
+          << "row " << row_index;
+      EXPECT_THROW(occupancy_series(arrivals, start), std::logic_error);
+    }
+  }
+  EXPECT_GT(thrown, 0);
+  EXPECT_GT(long_rows, 0);
+}
+
+TEST(BufferOccupancy, MaximumKeepsBothErrors) {
+  const auto error = [](const std::vector<Slot>& arrivals, Slot start) {
+    try {
+      max_buffer_occupancy(arrivals, start);
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error({0, -1, 2}, 3), "occupancy of an incomplete window");
+  EXPECT_EQ(error({5, 6}, 0), "playback start precedes feasibility");
+  EXPECT_EQ(error({400, 401}, 0), "playback start precedes feasibility");
 }
 
 TEST(BufferOccupancy, PerNodeViaRecorder) {
