@@ -18,17 +18,17 @@ int main() {
                      "neighbors", "receiver uplink", "idle uplink"});
   for (const sim::NodeKey n : {50, 200, 1000}) {
     const int d = 2;
-    const auto chain = core::StreamingSession(core::SessionConfig{
+    const auto chain = core::run_session(core::SessionConfig{
                            .scheme = core::Scheme::kChain, .n = n, .d = 1})
-                           .run();
+                           .qos;
     table.add_row({"chain", util::cell(n), util::cell(chain.worst_delay),
                    util::cell(chain.average_delay, 1),
                    util::cell(chain.max_buffer),
                    util::cell(chain.max_neighbors), "1x", "1 node"});
     const auto single =
-        core::StreamingSession(core::SessionConfig{
+        core::run_session(core::SessionConfig{
                 .scheme = core::Scheme::kSingleTree, .n = n, .d = d})
-            .run();
+            .qos;
     table.add_row(
         {"single d-ary tree", util::cell(n), util::cell(single.worst_delay),
          util::cell(single.average_delay, 1), util::cell(single.max_buffer),
@@ -36,18 +36,18 @@ int main() {
          std::to_string(d) + "x (boosted!)",
          util::cell(100.0 * baseline::single_tree_leaf_fraction(n, d), 0) +
              "% of nodes"});
-    const auto mt = core::StreamingSession(core::SessionConfig{
+    const auto mt = core::run_session(core::SessionConfig{
                         .scheme = core::Scheme::kMultiTreeGreedy,
                         .n = n,
                         .d = d})
-                        .run();
+                        .qos;
     table.add_row({"multi-tree (d trees)", util::cell(n),
                    util::cell(mt.worst_delay),
                    util::cell(mt.average_delay, 1), util::cell(mt.max_buffer),
                    util::cell(mt.max_neighbors), "1x", "d nodes (G_d)"});
-    const auto hc = core::StreamingSession(core::SessionConfig{
+    const auto hc = core::run_session(core::SessionConfig{
                         .scheme = core::Scheme::kHypercube, .n = n, .d = 1})
-                        .run();
+                        .qos;
     table.add_row({"hypercube chain", util::cell(n),
                    util::cell(hc.worst_delay),
                    util::cell(hc.average_delay, 1), util::cell(hc.max_buffer),

@@ -42,7 +42,7 @@ int main() {
 
   core::SessionConfig base{
       .scheme = core::parse_scheme("multi-tree/greedy"), .n = 63, .d = 2};
-  const core::QosReport plain = core::StreamingSession(base).run();
+  const core::QosReport plain = core::run_session(base).qos;
 
   for (const double burst : bursts) {
     // Mean burst length L fixes p_recover = 1/L; the stationary loss rate
@@ -62,9 +62,9 @@ int main() {
       cfg.loss.playback_start = plain.worst_delay;
       // Without repair the drain can never finish; don't wait for it.
       if (mode == loss::RecoveryMode::kNone) cfg.loss.max_drain = 64;
-      const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
+      const core::RunResult r = core::run_session(cfg);
 
-      if (mode == loss::RecoveryMode::kNack && !r.loss.all_gap_free) {
+      if (mode == loss::RecoveryMode::kNack && !r.loss->all_gap_free) {
         std::cerr << "FAIL: nack at burst length " << burst
                   << " left a receiver with a gap in its prefix\n";
         ok = false;
@@ -72,24 +72,24 @@ int main() {
 
       const char* mode_name = loss::recovery_mode_name(mode);
       table.add_row(
-          {util::cell(burst, 0), mode_name, util::cell(r.loss.drops),
-           util::cell(r.loss.retransmissions),
-           util::cell(r.loss.parity_transmissions),
-           util::cell(r.loss.fec_decodes),
-           util::cell(r.loss.redundancy_overhead, 3),
-           util::cell(r.loss.stalls), util::cell(r.loss.stall_slots),
-           util::cell(r.loss.undecodable),
-           r.loss.all_gap_free ? "yes" : "no"});
+          {util::cell(burst, 0), mode_name, util::cell(r.loss->drops),
+           util::cell(r.loss->retransmissions),
+           util::cell(r.loss->parity_transmissions),
+           util::cell(r.loss->fec_decodes),
+           util::cell(r.loss->redundancy_overhead, 3),
+           util::cell(r.loss->stalls), util::cell(r.loss->stall_slots),
+           util::cell(r.loss->undecodable),
+           r.loss->all_gap_free ? "yes" : "no"});
       csv.push_back(util::cell(burst, 0) + "," + mode_name + "," +
-                    util::cell(r.loss.drops) + "," +
-                    util::cell(r.loss.retransmissions) + "," +
-                    util::cell(r.loss.parity_transmissions) + "," +
-                    util::cell(r.loss.fec_decodes) + "," +
-                    util::cell(r.loss.redundancy_overhead, 4) + "," +
-                    util::cell(r.loss.stalls) + "," +
-                    util::cell(r.loss.stall_slots) + "," +
-                    util::cell(r.loss.undecodable) + "," +
-                    (r.loss.all_gap_free ? "1" : "0"));
+                    util::cell(r.loss->drops) + "," +
+                    util::cell(r.loss->retransmissions) + "," +
+                    util::cell(r.loss->parity_transmissions) + "," +
+                    util::cell(r.loss->fec_decodes) + "," +
+                    util::cell(r.loss->redundancy_overhead, 4) + "," +
+                    util::cell(r.loss->stalls) + "," +
+                    util::cell(r.loss->stall_slots) + "," +
+                    util::cell(r.loss->undecodable) + "," +
+                    (r.loss->all_gap_free ? "1" : "0"));
     }
   }
   table.print(std::cout);

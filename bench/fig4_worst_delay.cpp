@@ -9,7 +9,7 @@
 // below degrees 4 and 5 everywhere.
 //
 // The cross-check simulations — the expensive part of this bench — run one
-// StreamingSession per grid point on the deterministic parallel sweep
+// core::run_session per grid point on the deterministic parallel sweep
 // runner (the registry + RunPipeline reproduce the schedule the hand-rolled
 // engine wiring used to, a contract locked by scheme_registry_test).
 #include <iostream>

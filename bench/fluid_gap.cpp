@@ -27,9 +27,9 @@ int main() {
                         Row{core::Scheme::kMultiTreeGreedy, 3},
                         Row{core::Scheme::kHypercube, 1},
                         Row{core::Scheme::kChain, 1}}) {
-      const auto q = core::StreamingSession(core::SessionConfig{
+      const auto q = core::run_session(core::SessionConfig{
                          .scheme = r.scheme, .n = n, .d = r.d})
-                         .run();
+                         .qos;
       // Our reports are start-slot indices; elapsed = +1 (DESIGN.md §3).
       const auto elapsed = q.worst_delay + 1;
       const auto fluid_min = fluid::min_worst_delay(n, r.d);

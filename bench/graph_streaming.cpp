@@ -78,11 +78,11 @@ int main() {
   table.print(std::cout);
 
   // Reference: the complete-graph multi-tree at N = 48, d = 2.
-  const auto mt = core::StreamingSession(core::SessionConfig{
+  const auto mt = core::run_session(core::SessionConfig{
                       .scheme = core::Scheme::kMultiTreeGreedy,
                       .n = 47,
                       .d = 2})
-                      .run();
+                      .qos;
   std::cout << "\ncomplete-graph reference (multi-tree, N = 47, d = 2): "
                "worst delay "
             << mt.worst_delay << ", uplink exactly 1 for every node.\n"

@@ -58,7 +58,7 @@ int main() {
   for (const auto& s : schemes) {
     core::SessionConfig cfg{
         .scheme = core::parse_scheme(s.scheme), .n = s.n, .d = s.d};
-    const core::QosReport plain = core::StreamingSession(cfg).run();
+    const core::QosReport plain = core::run_session(cfg).qos;
 
     for (const double p : rates) {
       cfg.loss.model = loss::ErasureKind::kBernoulli;
@@ -67,9 +67,9 @@ int main() {
       // Stalls are measured against the lossless playback delay: a zero
       // count means loss cost no extra startup delay at all.
       cfg.loss.playback_start = plain.worst_delay;
-      const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
+      const core::RunResult r = core::run_session(cfg);
 
-      if (!r.loss.all_gap_free) {
+      if (!r.loss->all_gap_free) {
         std::cerr << "FAIL: " << s.label << " at p=" << p
                   << " left a receiver with a gap in its prefix\n";
         ok = false;
@@ -94,21 +94,22 @@ int main() {
 
       table.add_row({s.label, util::cell(p, 2), util::cell(r.qos.worst_delay),
                      util::cell(r.qos.average_delay, 1),
-                     util::cell(r.qos.max_buffer), util::cell(r.loss.drops),
-                     util::cell(r.loss.retransmissions),
-                     util::cell(r.loss.redundancy_overhead, 3),
-                     util::cell(r.loss.stalls), util::cell(r.loss.stall_slots),
-                     util::cell(r.loss.drain_slots)});
+                     util::cell(r.qos.max_buffer), util::cell(r.loss->drops),
+                     util::cell(r.loss->retransmissions),
+                     util::cell(r.loss->redundancy_overhead, 3),
+                     util::cell(r.loss->stalls),
+                     util::cell(r.loss->stall_slots),
+                     util::cell(r.loss->drain_slots)});
       csv.push_back(std::string(s.label) + "," + util::cell(p, 2) + "," +
                     util::cell(r.qos.worst_delay) + "," +
                     util::cell(r.qos.average_delay, 2) + "," +
                     util::cell(r.qos.max_buffer) + "," +
-                    util::cell(r.loss.drops) + "," +
-                    util::cell(r.loss.retransmissions) + "," +
-                    util::cell(r.loss.redundancy_overhead, 4) + "," +
-                    util::cell(r.loss.stalls) + "," +
-                    util::cell(r.loss.stall_slots) + "," +
-                    util::cell(r.loss.drain_slots));
+                    util::cell(r.loss->drops) + "," +
+                    util::cell(r.loss->retransmissions) + "," +
+                    util::cell(r.loss->redundancy_overhead, 4) + "," +
+                    util::cell(r.loss->stalls) + "," +
+                    util::cell(r.loss->stall_slots) + "," +
+                    util::cell(r.loss->drain_slots));
     }
   }
   table.print(std::cout);

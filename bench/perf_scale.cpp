@@ -2,7 +2,7 @@
 //
 // Runs the structured multi-tree scheme (d = 3, kPreRecorded) over an
 // N = 10^3 .. 10^6 curve. At every point the closed-form replay
-// (scale::replay_structured via StreamingSession) is timed best-of-kReps;
+// (scale::replay_structured via core::run_session) is timed best-of-kReps;
 // at points small enough to simulate (N <= kPumpMaxN) the per-slot pump is
 // also run, and its serialized QosReport must be byte-identical to the
 // replay's.
@@ -53,7 +53,7 @@ struct Point {
   bool pump_match = true;
   std::size_t bytes_peak = 0;
   std::size_t budget_bytes = 0;
-  core::ScaleRunResult replay;
+  core::RunResult replay;
 };
 
 SessionConfig base_config(sim::NodeKey n) {
@@ -70,21 +70,21 @@ Point measure(sim::NodeKey n) {
   p.replay_s = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    core::ScaleRunResult result = core::StreamingSession(replay_cfg).run_scale();
+    core::RunResult result = core::run_session(replay_cfg);
     const auto stop = std::chrono::steady_clock::now();
     p.replay_s = std::min(
         p.replay_s, std::chrono::duration<double>(stop - start).count());
     p.replay = std::move(result);
   }
-  p.bytes_peak = p.replay.summary.bytes_peak;
-  p.budget_bytes = p.replay.summary.budget_bytes;
+  p.bytes_peak = p.replay.scale->bytes_peak;
+  p.budget_bytes = p.replay.scale->budget_bytes;
 
   // Pump check: simulate every slot and compare bytes.
   if (n <= kPumpMaxN) {
     SessionConfig pump_cfg = base_config(n);
     pump_cfg.scale.allow_replay = false;
     const auto start = std::chrono::steady_clock::now();
-    const core::QosReport pump = core::StreamingSession(pump_cfg).run();
+    const core::QosReport pump = core::run_session(pump_cfg).qos;
     const auto stop = std::chrono::steady_clock::now();
     p.pump_s = std::chrono::duration<double>(stop - start).count();
     p.pump_checked = true;
@@ -109,8 +109,8 @@ void emit_point(std::ostream& os, const Point& p) {
      << ", \"worst_delay\": " << p.replay.qos.worst_delay
      << ", \"max_buffer\": " << p.replay.qos.max_buffer
      << ", \"transmissions\": " << p.replay.qos.transmissions
-     << ", \"delay_p99\": " << p.replay.summary.delay.p99
-     << ", \"buffer_p99\": " << p.replay.summary.buffer.p99 << "}";
+     << ", \"delay_p99\": " << p.replay.scale->delay.p99
+     << ", \"buffer_p99\": " << p.replay.scale->buffer.p99 << "}";
 }
 
 }  // namespace

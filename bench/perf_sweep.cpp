@@ -133,9 +133,7 @@ std::vector<std::string> grid_schemes(
 std::string render(const std::vector<run::TaskResult>& results) {
   std::ostringstream os;
   for (const run::TaskResult& r : results) {
-    os << r.qos.summary() << " slots=" << r.qos.slots_simulated
-       << " drops=" << r.loss.drops << " retx=" << r.loss.retransmissions
-       << "\n";
+    os << core::serialize(r) << "\n";
   }
   return os.str();
 }

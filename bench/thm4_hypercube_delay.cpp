@@ -21,9 +21,9 @@ int main() {
   bool all_ok = true;
   for (const sim::NodeKey n : {3, 7, 15, 31, 63, 127, 255, 511, 1023, 2047,
                                5, 12, 20, 45, 100, 300, 777, 1500, 3000}) {
-    const auto r = core::StreamingSession(core::SessionConfig{
+    const auto r = core::run_session(core::SessionConfig{
                        .scheme = core::Scheme::kHypercube, .n = n, .d = 1})
-                       .run();
+                       .qos;
     const double bound = hypercube::theorem4_bound(n);
     const auto segments = hypercube::decompose_chain(n).size();
     const bool ok = r.average_delay <= bound + 1e-9 && r.max_buffer <= 2 &&
@@ -45,12 +45,12 @@ int main() {
                        "2*log2(ceil(N/d))"});
   for (const sim::NodeKey n : {100, 500, 2000}) {
     for (const int d : {2, 3, 4}) {
-      const auto r = core::StreamingSession(
+      const auto r = core::run_session(
                          core::SessionConfig{
                              .scheme = core::Scheme::kHypercubeGrouped,
                              .n = n,
                              .d = d})
-                         .run();
+                         .qos;
       grouped.add_row(
           {util::cell(n), util::cell(d), util::cell(r.worst_delay),
            util::cell(r.average_delay, 2),

@@ -152,25 +152,25 @@ int main(int argc, char** argv) {
         cfg.loss.code = {.decode_delay = 12, .burst = 4};
         cfg.loss.max_drain = 4096;
         cfg.startup.policy = start;
-        const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
+        const core::RunResult r = core::run_session(cfg);
 
         Cell c;
         c.recovery = rec;
         c.startup = start;
         c.burst = lvl.label;
         c.expected_burst = 1.0 / lvl.p_recover;
-        c.overhead = r.loss.redundancy_overhead;
-        c.throughput = 1.0 / (1.0 + r.loss.redundancy_overhead);
-        c.drops = r.loss.drops;
-        c.stalls = r.startup.stalls;
-        c.stall_slots = r.startup.stall_slots;
-        c.undecodable = r.startup.undecodable;
-        c.average_start = r.startup.average_start;
-        c.max_start = r.startup.max_start;
-        c.earliest_start = r.startup.earliest_start;
-        c.max_erasure_run = r.loss.max_erasure_run;
-        c.guard_collisions = r.loss.guard_collisions;
-        c.unrecoverable = r.loss.unrecoverable;
+        c.overhead = r.loss->redundancy_overhead;
+        c.throughput = 1.0 / (1.0 + r.loss->redundancy_overhead);
+        c.drops = r.loss->drops;
+        c.stalls = r.startup->stalls;
+        c.stall_slots = r.startup->stall_slots;
+        c.undecodable = r.startup->undecodable;
+        c.average_start = r.startup->average_start;
+        c.max_start = r.startup->max_start;
+        c.earliest_start = r.startup->earliest_start;
+        c.max_erasure_run = r.loss->max_erasure_run;
+        c.guard_collisions = r.loss->guard_collisions;
+        c.unrecoverable = r.loss->unrecoverable;
 
         if (c.recovery == "streaming-code") {
           c.guaranteed_region =

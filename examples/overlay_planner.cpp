@@ -87,10 +87,9 @@ int main(int argc, char** argv) {
   std::cout << "\nRecommended: " << core::scheme_name(pick->scheme)
             << " with d = " << pick->d << ". Verifying by simulation...\n";
   const core::QosReport r =
-      core::StreamingSession(core::SessionConfig{.scheme = pick->scheme,
-                                                 .n = n,
-                                                 .d = pick->d})
-          .run();
+      core::run_session(
+          core::SessionConfig{.scheme = pick->scheme, .n = n, .d = pick->d})
+          .qos;
   std::cout << "  " << r.summary() << "\n";
   const bool verified =
       r.worst_delay <= max_delay && r.max_buffer <= max_buffer;

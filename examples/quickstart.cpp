@@ -2,7 +2,7 @@
 //
 //   $ ./examples/quickstart [N] [d]
 //
-// Demonstrates the one-call public API (core::StreamingSession) and prints
+// Demonstrates the one-call public API (core::run_session) and prints
 // the paper's Table-1 quantities for every scheme at the chosen size.
 #include <cstdlib>
 #include <iostream>
@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
         core::Scheme::kHypercube, core::Scheme::kHypercubeGrouped,
         core::Scheme::kChain, core::Scheme::kSingleTree}) {
     const core::QosReport r =
-        core::StreamingSession(
-            core::SessionConfig{.scheme = scheme, .n = n, .d = d})
-            .run();
+        core::run_session(core::SessionConfig{.scheme = scheme, .n = n, .d = d})
+            .qos;
     table.add_row({r.scheme, util::cell(r.worst_delay),
                    util::cell(r.average_delay, 2), util::cell(r.max_buffer),
                    util::cell(r.max_neighbors),

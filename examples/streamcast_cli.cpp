@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const core::QosReport report = core::StreamingSession(cfg).run();
+    const core::QosReport report = core::run_session(cfg).qos;
     std::cout << report.summary() << '\n'
               << "avg buffer " << util::cell(report.average_buffer, 2)
               << " pkts, avg neighbors "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "src/metrics/buffers.hpp"
 #include "src/scale/sketch.hpp"
@@ -24,10 +25,6 @@ void ObserverStack::attach(sim::Engine& engine,
   if (recovery == nullptr) {
     engine.add_observer(delays_);
     engine.add_observer(neighbors_);
-    // Reliable startup runs: the continuity recorder watches the engine
-    // directly (there is no recovery layer to observe). Historical lossless
-    // paths never request continuity, so their wiring is unchanged.
-    if (continuity_) engine.add_observer(*continuity_);
   }
   if (auditor_) engine.add_observer(*auditor_);
   if (recovery != nullptr) {
@@ -221,55 +218,37 @@ LossSummary RunPipeline::loss_summary(const LossConfig& loss,
   summary.guard_collisions = rs.guard_collisions;
   summary.unrecoverable = rs.unrecoverable;
 
+  // One pass folds both the startup summary and the loss section's
+  // playback figures: the policy's start per receiver, and the replay from
+  // it. Policies are pure functions of the context, so this is the replay
+  // the loss section would make on its own.
   const metrics::ContinuityRecorder* continuity = observers_.continuity();
-  if (continuity != nullptr) {
-    if (startup_out != nullptr) {
-      *startup_out = startup_summary(startup, loss.playback_start, from, to,
-                                     worst_delay);
-    }
-    for (NodeKey x = from; x <= to; ++x) {
-      const policy::StartupContext ctx =
-          make_startup_context(*continuity, x, window_, end_, worst_delay,
-                               loss.playback_start, engine_.stats().drops);
-      const auto cr = continuity->report(x, startup.start_slot(ctx), end_);
-      summary.stalls = std::max(summary.stalls, cr.stalls);
-      summary.stall_slots = std::max(summary.stall_slots, cr.stall_slots);
-      summary.undecodable += cr.undecodable;
-    }
-  }
-  return summary;
-}
-
-StartupSummary RunPipeline::startup_summary(
-    const policy::StartupPolicy& startup, Slot fixed_start, NodeKey from,
-    NodeKey to, Slot worst_delay) const {
-  const metrics::ContinuityRecorder* continuity = observers_.continuity();
-  if (continuity == nullptr) {
-    throw std::logic_error("startup_summary requires a continuity recorder");
-  }
-  StartupSummary summary;
-  summary.policy = startup.name();
+  if (continuity == nullptr) return summary;
+  StartupSummary fold;
+  fold.policy = startup.name();
+  fold.earliest_start = end_;
   double start_sum = 0;
-  NodeKey count = 0;
-  summary.earliest_start = end_;
   for (NodeKey x = from; x <= to; ++x) {
     const policy::StartupContext ctx =
         make_startup_context(*continuity, x, window_, end_, worst_delay,
-                             fixed_start, engine_.stats().drops);
+                             loss.playback_start, engine_.stats().drops);
     const Slot start = startup.start_slot(ctx);
     const auto cr = continuity->report(x, start, end_);
-    summary.max_start = std::max(summary.max_start, start);
-    summary.earliest_start = std::min(summary.earliest_start, start);
+    fold.max_start = std::max(fold.max_start, start);
+    fold.earliest_start = std::min(fold.earliest_start, start);
     start_sum += static_cast<double>(start);
-    ++count;
-    summary.stalls = std::max(summary.stalls, cr.stalls);
-    summary.stall_slots = std::max(summary.stall_slots, cr.stall_slots);
-    summary.undecodable += cr.undecodable;
-    summary.max_finish = std::max(summary.max_finish, cr.finish_slot);
+    fold.stalls = std::max(fold.stalls, cr.stalls);
+    fold.stall_slots = std::max(fold.stall_slots, cr.stall_slots);
+    fold.undecodable += cr.undecodable;
+    fold.max_finish = std::max(fold.max_finish, cr.finish_slot);
   }
-  if (count > 0) {
-    summary.average_start = start_sum / static_cast<double>(count);
+  if (to >= from) {
+    fold.average_start = start_sum / static_cast<double>(to - from + 1);
   }
+  summary.stalls = fold.stalls;
+  summary.stall_slots = fold.stall_slots;
+  summary.undecodable = fold.undecodable;
+  if (startup_out != nullptr) *startup_out = std::move(fold);
   return summary;
 }
 

@@ -3,8 +3,8 @@
 // RunPipeline owns engine construction, the ObserverStack (delay + neighbor
 // recorders, optional continuity recorder, optional InvariantAuditor,
 // optional Trace), the drain loop for lossy runs, and QosReport/LossSummary
-// aggregation. StreamingSession::run(), run_lossy(), and the multi-cluster
-// super-tree path are thin configurations of this class; every run path
+// aggregation. core::run_session()'s single-cluster pump and the sharded
+// super-tree runner are thin configurations of this class; every run path
 // therefore gets identical observability and identical aggregation
 // arithmetic for free.
 //
@@ -50,7 +50,8 @@ struct ObserverSpec {
   /// Recorder key space: n + 1 for a single cluster, the full topology
   /// size for the super-tree composition.
   NodeKey node_span = 0;
-  /// Attach a ContinuityRecorder (lossy runs: stalls / undecodable gaps).
+  /// Attach a ContinuityRecorder to the recovery layer (lossy runs only:
+  /// stalls / undecodable gaps).
   bool continuity = false;
   /// Attach the InvariantAuditor with these options.
   bool audit = false;
@@ -175,13 +176,6 @@ class RunPipeline {
                            const policy::StartupPolicy& startup, NodeKey from,
                            NodeKey to, Slot worst_delay,
                            StartupSummary* startup_out = nullptr) const;
-
-  /// The startup fold alone, for reliable runs observed with a continuity
-  /// recorder (ObserverSpec::continuity on a lossless pipeline). Requires
-  /// the continuity recorder.
-  StartupSummary startup_summary(const policy::StartupPolicy& startup,
-                                 Slot fixed_start, NodeKey from, NodeKey to,
-                                 Slot worst_delay) const;
 
   ObserverStack& observers() { return observers_; }
   const ObserverStack& observers() const { return observers_; }

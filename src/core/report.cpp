@@ -49,19 +49,20 @@ std::string serialize(const QosReport& r) {
   return os.str();
 }
 
-std::string serialize(const LossRunResult& r) {
+std::string serialize(const RunResult& r) {
+  if (!r.loss) return serialize(r.qos);
+  const LossSummary& l = *r.loss;
   std::ostringstream os;
-  os << serialize(r.qos) << "\nloss drops=" << r.loss.drops
-     << " retransmissions=" << r.loss.retransmissions
-     << " parity_transmissions=" << r.loss.parity_transmissions
-     << " fec_decodes=" << r.loss.fec_decodes
-     << " suppressed=" << r.loss.suppressed << " nacks=" << r.loss.nacks
-     << " redundancy_overhead=" << fp(r.loss.redundancy_overhead)
-     << " all_gap_free=" << (r.loss.all_gap_free ? 1 : 0)
-     << " stalls=" << r.loss.stalls << " stall_slots=" << r.loss.stall_slots
-     << " undecodable=" << r.loss.undecodable
-     << " drain_slots=" << r.loss.drain_slots
-     << " incomplete_nodes=" << r.loss.incomplete_nodes;
+  os << serialize(r.qos) << "\nloss drops=" << l.drops
+     << " retransmissions=" << l.retransmissions
+     << " parity_transmissions=" << l.parity_transmissions
+     << " fec_decodes=" << l.fec_decodes << " suppressed=" << l.suppressed
+     << " nacks=" << l.nacks
+     << " redundancy_overhead=" << fp(l.redundancy_overhead)
+     << " all_gap_free=" << (l.all_gap_free ? 1 : 0) << " stalls=" << l.stalls
+     << " stall_slots=" << l.stall_slots << " undecodable=" << l.undecodable
+     << " drain_slots=" << l.drain_slots
+     << " incomplete_nodes=" << l.incomplete_nodes;
   return os.str();
 }
 

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
+#include "src/scale/recorder.hpp"
 #include "src/sim/packet.hpp"
 
 namespace streamcast::core {
@@ -84,8 +86,21 @@ struct StartupSummary {
   sim::Slot max_finish = 0;
 };
 
-/// Outcome of run_lossy() and run_startup() (whose reliable path leaves
-/// `loss` zeroed).
+/// Outcome of core::run_session(): the QoS report plus the sections the
+/// config calls for (DESIGN.md §9), and nothing else.
+struct RunResult {
+  QosReport qos;
+  /// Set exactly when the run is lossy (LossConfig::model != kNone).
+  std::optional<LossSummary> loss;
+  std::optional<StartupSummary> startup;
+  /// Set on reliable single-cluster runs with n >= ScaleOptions::
+  /// replay_threshold, whether replayed or pumped: the sketched delay and
+  /// buffer distributions and the memory-budget accounting.
+  std::optional<scale::ScaleSummary> scale;
+};
+
+/// What StreamingSession::run_lossy() returns; kept for the session-mix
+/// benchmark until it moves to run_session().
 struct LossRunResult {
   QosReport qos;
   LossSummary loss;
@@ -94,10 +109,10 @@ struct LossRunResult {
 
 /// Canonical byte-exact rendering of every report field (doubles at 17
 /// significant digits), used by the golden parity suite and available for
-/// diffing runs. One line for a QosReport, a second "loss ..." line for a
-/// LossRunResult.
+/// diffing runs. One line for a QosReport; a RunResult adds a second
+/// "loss ..." line when it has a loss section.
 std::string serialize(const QosReport& r);
-std::string serialize(const LossRunResult& r);
+std::string serialize(const RunResult& r);
 std::string serialize(const StartupSummary& s);
 
 }  // namespace streamcast::core

@@ -9,7 +9,7 @@
 // the baselines the paper argues against (§1).
 //
 // Entry points:
-//   core::StreamingSession      — run a scheme, get a QoS report.
+//   core::run_session           — run a scheme, get a QoS report.
 //   multitree::build_greedy / build_structured / MultiTreeProtocol
 //   hypercube::decompose_chain / decompose_grouped / HypercubeProtocol
 //   supertree::SuperTreeProtocol — multi-cluster composition.

@@ -23,7 +23,8 @@ HypercubeProtocol::HypercubeProtocol(
     std::vector<std::vector<Segment>> chains, NodeKey source_key)
     : source_key_(source_key) {
   if (chains.empty()) throw std::invalid_argument("need at least one chain");
-  NodeKey max_key = 0;
+  NodeKey max_key = source_key_;
+  base_ = source_key_;
   for (const auto& chain : chains) {
     if (chain.empty()) throw std::invalid_argument("empty chain");
     std::vector<SegState> states;  // lint: allow(hot-path-alloc) — setup
@@ -31,32 +32,30 @@ HypercubeProtocol::HypercubeProtocol(
     for (const Segment& seg : chain) {
       if (seg.k < 1) throw std::invalid_argument("segment dimension < 1");
       states.push_back(SegState{.seg = seg, .next_consume = 0});
+      base_ = std::min(base_, seg.first);
       max_key = std::max(max_key, seg.first + seg.receivers() - 1);
       receivers_ += seg.receivers();
     }
     chains_.push_back(std::move(states));
   }
-  held_.resize(static_cast<std::size_t>(std::max(max_key, source_key_)) + 1);
+  held_.resize(at(max_key) + 1);
   failed_.resize(held_.size(), false);
   seg_of_.resize(held_.size(), {-1, -1});
   for (std::size_t c = 0; c < chains_.size(); ++c) {
     for (std::size_t s = 0; s < chains_[c].size(); ++s) {
       const Segment& seg = chains_[c][s].seg;
       for (NodeKey key = seg.first; key < seg.first + seg.receivers(); ++key) {
-        seg_of_[static_cast<std::size_t>(key)] = {
-            static_cast<std::int32_t>(c), static_cast<std::int32_t>(s)};
+        seg_of_[at(key)] = {static_cast<std::int32_t>(c),
+                            static_cast<std::int32_t>(s)};
       }
     }
   }
 }
 
-void HypercubeProtocol::fail_node(NodeKey key) {
-  failed_[static_cast<std::size_t>(key)] = true;
-}
+void HypercubeProtocol::fail_node(NodeKey key) { failed_[at(key)] = true; }
 
 std::size_t HypercubeProtocol::buffered(NodeKey key) const {
-  return static_cast<std::size_t>(
-      std::popcount(held_[static_cast<std::size_t>(key)]));
+  return static_cast<std::size_t>(std::popcount(held_[at(key)]));
 }
 
 // lint: allow(hot-path-alloc) — appends to the engine's slot list
@@ -68,7 +67,7 @@ void HypercubeProtocol::transmit(Slot t, std::vector<Tx>& out) {
       while (st.seg.consume_slot(st.next_consume) < t) {
         for (NodeKey key = st.seg.first;
              key < st.seg.first + st.seg.receivers(); ++key) {
-          held_[static_cast<std::size_t>(key)] >>= 1;
+          held_[at(key)] >>= 1;
         }
         ++st.next_consume;
       }
@@ -100,8 +99,7 @@ void HypercubeProtocol::transmit(Slot t, std::vector<Tx>& out) {
         assert(up_tau - up.k == tau);
       }
       const NodeKey entry_key = seg.key_of(entry);
-      if (!failed_[static_cast<std::size_t>(sender)] &&
-          !failed_[static_cast<std::size_t>(entry_key)]) {
+      if (!failed_[at(sender)] && !failed_[at(entry_key)]) {
         out.push_back(Tx{.from = sender,
                          .to = entry_key,
                          .packet = tau,
@@ -114,8 +112,7 @@ void HypercubeProtocol::transmit(Slot t, std::vector<Tx>& out) {
       // the oldest packet it can offer.
       const PacketId anchor = chain[s].next_consume;
       const auto offer = [&](NodeKey from, NodeKey to) {
-        const std::uint64_t only = held_[static_cast<std::size_t>(from)] &
-                                   ~held_[static_cast<std::size_t>(to)];
+        const std::uint64_t only = held_[at(from)] & ~held_[at(to)];
         if (only == 0) return;
         out.push_back(Tx{.from = from,
                          .to = to,
@@ -128,8 +125,7 @@ void HypercubeProtocol::transmit(Slot t, std::vector<Tx>& out) {
         if ((v & bit) != 0) continue;
         const NodeKey a = seg.key_of(v);
         const NodeKey b = seg.key_of(v | bit);
-        if (!failed_[static_cast<std::size_t>(a)] &&
-            !failed_[static_cast<std::size_t>(b)]) {
+        if (!failed_[at(a)] && !failed_[at(b)]) {
           offer(a, b);
           offer(b, a);
         }
@@ -139,8 +135,12 @@ void HypercubeProtocol::transmit(Slot t, std::vector<Tx>& out) {
 }
 
 void HypercubeProtocol::deliver(Slot /*t*/, const Tx& tx) {
-  const auto [chain, seg] = seg_of_[static_cast<std::size_t>(tx.to)];
-  if (chain < 0) throw std::logic_error("delivery outside every cube");
+  // A key below base_ wraps to a huge index, so one bound covers both ends.
+  const std::size_t node = at(tx.to);
+  if (node >= seg_of_.size() || seg_of_[node].first < 0) {
+    throw std::logic_error("delivery outside every cube");
+  }
+  const auto [chain, seg] = seg_of_[node];
   const PacketId offset =
       tx.packet - chains_[static_cast<std::size_t>(chain)]
                          [static_cast<std::size_t>(seg)]
@@ -152,7 +152,7 @@ void HypercubeProtocol::deliver(Slot /*t*/, const Tx& tx) {
   // The header's bound keeps offsets <= 31; a shift past the word would be
   // undefined behaviour, so refuse it in every build.
   if (offset >= kWordBits) throw std::logic_error("id beyond the cube word");
-  auto& held = held_[static_cast<std::size_t>(tx.to)];
+  auto& held = held_[node];
   const std::uint64_t mask = std::uint64_t{1} << offset;
   assert((held & mask) == 0 && "hypercube exchange must be duplicate-free");
   held |= mask;

@@ -80,18 +80,27 @@ class HypercubeProtocol final : public sim::Protocol {
   // lint: allow(hot-path-alloc) — one entry per segment, fixed at setup
   std::vector<std::vector<SegState>> chains_;
   NodeKey source_key_ = 0;
-  /// By node key: bit i = holds packet next_consume + i of the node's
+  /// The lowest key among the source and the receivers: the per-node
+  /// arrays below are indexed by key - base_, so a cluster inside the
+  /// super-tree composition sizes them by its own keys alone.
+  NodeKey base_ = 0;
+  /// By node: bit i = holds packet next_consume + i of the node's
   /// segment; [source] stays 0.
   // lint: allow(hot-path-alloc) — one word per node, sized once
   std::vector<std::uint64_t> held_;
   // lint: allow(hot-path-alloc) — crashed receivers, sized once
   std::vector<bool> failed_;
-  /// Node key -> (chain, segment) of the cube the node belongs to;
-  /// {-1, -1} for the source.
+  /// Node -> (chain, segment) of the cube the node belongs to; {-1, -1}
+  /// for the source.
   // lint: allow(hot-path-alloc) — one entry per node, sized once
   std::vector<std::pair<std::int32_t, std::int32_t>> seg_of_;
   NodeKey receivers_ = 0;
   std::size_t max_buffered_ = 0;
+
+  /// Index of `key` in the per-node arrays.
+  std::size_t at(NodeKey key) const {
+    return static_cast<std::size_t>(key - base_);
+  }
 };
 
 }  // namespace streamcast::hypercube

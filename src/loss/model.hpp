@@ -93,7 +93,7 @@ class GilbertElliottLoss final : public LossModel {
 /// Which erasure channel a session/bench should run.
 enum class ErasureKind { kNone, kBernoulli, kGilbertElliott };
 
-/// Factory used by core::StreamingSession and the loss benches. Returns
+/// Factory used by core::run_session and the loss benches. Returns
 /// nullptr for kNone. `rate` feeds BernoulliLoss; `ge` feeds Gilbert–Elliott.
 std::unique_ptr<LossModel> make_model(ErasureKind kind, double rate,
                                       GilbertElliottLoss::Params ge,

@@ -267,7 +267,17 @@ void RecoveryProtocol::ingest_decoded(Slot t, const Tx& tx) {
 }
 
 void RecoveryProtocol::seat(NodeKey node, PacketId live_edge) {
-  receiver(node).tracker.start_at(live_edge);
+  Receiver& r = receiver(node);
+  r.tracker.start_at(live_edge);
+  // The ids below the live edge are forgiven, so the gate stops waiting on
+  // them: close those gaps and release what they held back, in order.
+  for (Substream& sub : r.gate) {
+    const auto open = std::ranges::lower_bound(sub.gaps, live_edge);
+    if (open == sub.gaps.begin()) continue;
+    r.open_gaps -= open - sub.gaps.begin();
+    sub.gaps.erase(sub.gaps.begin(), open);
+    flush_held_back(now_, r, sub.tag);
+  }
   policy_->on_seat(*this, node);
 }
 

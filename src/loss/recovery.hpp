@@ -187,6 +187,8 @@ class RecoveryProtocol final : public sim::Protocol,
 
   /// Seats `node` at the live edge: its stream starts at `live_edge`, so
   /// the recovery layer never backfills pre-join history (churn joiners).
+  /// Arrivals the in-order gate held behind a forgiven gap flow on to the
+  /// wrapped protocol.
   void seat(NodeKey node, PacketId live_edge);
 
   /// True iff every node in [from, to] holds the gap-free prefix [0, window).

@@ -1,9 +1,8 @@
 #include "src/multitree/protocol.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
-#include <stdexcept>
+#include <utility>
 
 namespace streamcast::multitree {
 
@@ -14,22 +13,9 @@ constexpr std::int64_t kUnbounded = std::numeric_limits<std::int64_t>::max();
 }  // namespace
 
 MultiTreeProtocol::MultiTreeProtocol(const Forest& forest, StreamMode mode,
-                                     SourceGate gate,
-                                     std::vector<sim::NodeKey> key_map)
+                                     SourceGate gate, sim::NodeKey key_offset)
     : forest_(forest), mode_(mode), gate_(std::move(gate)),
-      key_map_(std::move(key_map)) {
-  if (!key_map_.empty()) {
-    if (key_map_.size() != static_cast<std::size_t>(forest_.n()) + 1) {
-      throw std::invalid_argument("key_map must cover source + receivers");
-    }
-    const sim::NodeKey max_key =
-        *std::max_element(key_map_.begin(), key_map_.end());
-    inverse_key_map_.assign(static_cast<std::size_t>(max_key) + 1, -1);
-    for (NodeKey local = 0; local <= forest_.n(); ++local) {
-      inverse_key_map_[static_cast<std::size_t>(
-          key_map_[static_cast<std::size_t>(local)])] = local;
-    }
-  }
+      key_offset_(key_offset) {
   const int d = forest_.d();
   use_periodic_cache(true);
   src_next_.assign(static_cast<std::size_t>(d),
@@ -50,22 +36,6 @@ MultiTreeProtocol::MultiTreeProtocol(const Forest& forest, StreamMode mode,
               std::vector<std::int64_t>(static_cast<std::size_t>(d), 0)});
     }
   }
-}
-
-sim::NodeKey MultiTreeProtocol::global_key(NodeKey local) const {
-  return key_map_.empty() ? local
-                          : key_map_[static_cast<std::size_t>(local)];
-}
-
-NodeKey MultiTreeProtocol::local_key(sim::NodeKey global) const {
-  if (key_map_.empty()) {
-    return global <= forest_.n() ? global : -1;
-  }
-  if (global < 0 ||
-      static_cast<std::size_t>(global) >= inverse_key_map_.size()) {
-    return -1;
-  }
-  return inverse_key_map_[static_cast<std::size_t>(global)];
 }
 
 void MultiTreeProtocol::use_periodic_cache(bool enabled) {

@@ -39,19 +39,24 @@ using SourceGate = std::function<bool(PacketId, Slot)>;
 
 class MultiTreeProtocol final : public sim::Protocol {
  public:
+  /// `key_offset` places the cluster in the engine key space: local key x
+  /// (0 = cluster source, 1..n receivers) is engine key key_offset + x.
   explicit MultiTreeProtocol(const Forest& forest,
                              StreamMode mode = StreamMode::kPreRecorded,
                              SourceGate gate = {},
-                             std::vector<sim::NodeKey> key_map = {});
+                             sim::NodeKey key_offset = 0);
 
   void transmit(Slot t, std::vector<Tx>& out) override;
   void deliver(Slot t, const Tx& tx) override;
 
   /// Translates a local key (0 = cluster source, 1..n receivers) to the
-  /// engine key space (identity unless a key_map was given).
-  sim::NodeKey global_key(NodeKey local) const;
-  /// Inverse of global_key for receivers; -1 if the key is not mapped.
-  NodeKey local_key(sim::NodeKey global) const;
+  /// engine key space.
+  sim::NodeKey global_key(NodeKey local) const { return key_offset_ + local; }
+  /// Inverse of global_key; -1 for a key outside the cluster.
+  NodeKey local_key(sim::NodeKey global) const {
+    const NodeKey local = global - key_offset_;
+    return local >= 0 && local <= forest_.n() ? local : -1;
+  }
 
   /// Enables/disables the memoized periodic-schedule fast path. Eligible
   /// modes (kPreRecorded and kLivePrebuffered without a source gate) enable
@@ -66,8 +71,7 @@ class MultiTreeProtocol final : public sim::Protocol {
   const Forest& forest_;
   StreamMode mode_;
   SourceGate gate_;
-  std::vector<sim::NodeKey> key_map_;      // [local] -> global; empty = id
-  std::vector<NodeKey> inverse_key_map_;   // [global] -> local
+  sim::NodeKey key_offset_;  // engine key of local key 0
   struct InteriorState {
     NodeKey node = 0;
     NodeKey pos = 0;  // its interior position

@@ -100,13 +100,10 @@ std::unique_ptr<StartupPolicy> make_startup(const StartupOptions& options) {
 }
 
 constexpr std::array<StartupPolicyDescriptor, 3> kStartupRegistry{{
-    {.name = "fixed", .caps = {}, .make = &make_startup<FixedStartup>},
+    {.name = "fixed", .make = &make_startup<FixedStartup>},
     {.name = "progressive-ramp",
-     .caps = {.adaptive = true},
      .make = &make_startup<ProgressiveRampStartup>},
-    {.name = "loss-adaptive",
-     .caps = {.adaptive = true},
-     .make = &make_startup<LossAdaptiveStartup>},
+    {.name = "loss-adaptive", .make = &make_startup<LossAdaptiveStartup>},
 }};
 
 }  // namespace

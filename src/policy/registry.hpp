@@ -46,17 +46,8 @@ std::span<const RecoveryPolicyDescriptor> recovery_policies();
 /// name.
 const RecoveryPolicyDescriptor& recovery_policy(std::string_view name);
 
-struct StartupPolicyCaps {
-  /// The start slot depends on the run's own observations (first arrivals,
-  /// loss fraction, replay probes) instead of configuration alone. The
-  /// session disables memoized schedules and closed-form replay under
-  /// adaptive startup.
-  bool adaptive = false;
-};
-
 struct StartupPolicyDescriptor {
   const char* name;
-  StartupPolicyCaps caps;
   std::unique_ptr<StartupPolicy> (*make)(const StartupOptions&);
 };
 

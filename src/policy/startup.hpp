@@ -18,10 +18,9 @@
 //                     never later than `fixed`.
 //
 // Policies are pure functions of the per-receiver StartupContext, so the
-// choice is deterministic and replayable; adaptive policies consult the
-// run's own observations, which is why closed-form schedule replay is
-// ineligible under them (the session disables it — see
-// StreamingSession::replay_eligible).
+// choice is deterministic and replayable. They act on lossy runs only
+// (core::run_session's startup section), which never replay in closed
+// form: adaptive policies consult the run's own observations.
 #pragma once
 
 #include <functional>

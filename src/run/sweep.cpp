@@ -6,8 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "src/loss/model.hpp"
-
 namespace streamcast::run {
 
 int resolve_threads(int requested) {
@@ -63,18 +61,11 @@ std::vector<TaskResult> run_sweep(const std::vector<core::SessionConfig>& tasks,
   parallel_for(
       tasks.size(),
       [&results, &tasks](std::size_t i) {
-        TaskResult& r = results[i];
         try {
-          core::StreamingSession session(tasks[i]);
-          if (tasks[i].loss.model != loss::ErasureKind::kNone) {
-            core::LossRunResult lossy = session.run_lossy();
-            r.qos = lossy.qos;
-            r.loss = lossy.loss;
-          } else {
-            r.qos = session.run();
-          }
+          static_cast<core::RunResult&>(results[i]) =
+              core::run_session(tasks[i]);
         } catch (...) {
-          r.error = std::current_exception();
+          results[i].error = std::current_exception();
         }
       },
       options);

@@ -2,10 +2,10 @@
 //
 // Every paper artifact and the audit grid re-run the slot engine over large
 // (scheme, N, d, T_c) grids. The tasks are embarrassingly parallel — one
-// StreamingSession per grid point, no shared mutable state — so the runner
-// executes them on a fixed-size std::jthread pool pulling indices from a
-// shared atomic counter (work stealing over the task list) and merges the
-// results in submission order. The merged output is byte-identical to a
+// core::run_session() per grid point, no shared mutable state — so the
+// runner executes them on a fixed-size std::jthread pool pulling indices
+// from a shared atomic counter (work stealing over the task list) and merges
+// the results in submission order. The merged output is byte-identical to a
 // serial run at any thread count: each worker writes only its own task's
 // result slot, every session owns its engine/PRNG/topology outright, and
 // nothing about the output depends on scheduling order.
@@ -46,17 +46,15 @@ void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   SweepOptions options = {});
 
-/// Outcome of one sweep task, in submission order.
-struct TaskResult {
-  core::QosReport qos;
-  /// Populated when the task's LossConfig is active (run_lossy path).
-  core::LossSummary loss;
-  /// Set instead of the reports if the session threw.
+/// Outcome of one sweep task, in submission order: the task's
+/// core::run_session() result.
+struct TaskResult : core::RunResult {
+  /// Set instead of the result if the session threw.
   std::exception_ptr error;
 };
 
-/// Runs one StreamingSession per config — run_lossy() when the task's loss
-/// model is active, run() otherwise — and returns results indexed by task.
+/// Runs core::run_session() on every config and returns the results
+/// indexed by task.
 std::vector<TaskResult> run_sweep(const std::vector<core::SessionConfig>& tasks,
                                   SweepOptions options = {});
 

@@ -15,6 +15,9 @@ struct ScaleOptions {
   /// multi-tree, lossless, kPreRecorded/kLivePrebuffered, no audit) skips
   /// the slot engine entirely and replays the periodic schedule in closed
   /// form. Byte-identical to the pump by construction (regression-tested).
+  /// Every reliable single-cluster run at/above it, replayed or pumped,
+  /// also returns the sketched summaries (core::RunResult::scale); 0 turns
+  /// both off.
   NodeKey replay_threshold = 50'000;
   /// Master switch for the closed-form replay shortcut.
   bool allow_replay = true;

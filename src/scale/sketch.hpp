@@ -2,7 +2,7 @@
 // Streaming distribution sketches for the million-node scale path
 // (DESIGN.md §11).
 //
-// A run that asks for distribution summaries (StreamingSession::run_scale)
+// A run that asks for distribution summaries (core::RunResult::scale)
 // folds the per-receiver delays and buffer occupancies into two O(polylog)
 // streaming summaries per distribution:
 //

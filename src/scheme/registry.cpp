@@ -15,7 +15,6 @@
 #include "src/multitree/greedy.hpp"
 #include "src/multitree/protocol.hpp"
 #include "src/multitree/structured.hpp"
-#include "src/policy/registry.hpp"
 #include "src/rrd/digraph.hpp"
 #include "src/rrd/protocol.hpp"
 #include "src/supertree/analysis.hpp"
@@ -41,11 +40,8 @@ Overlay build_multitree(const SessionConfig& config) {
       std::make_unique<multitree::MultiTreeProtocol>(*o.forest, config.mode);
   // On lossy links a forward must wait for the actual (possibly repaired)
   // receipt, so the replayed deterministic schedule is unsound; keep the
-  // cursor pump, which advances only on delivery. Adaptive startup decides
-  // from observed arrivals, so it too runs the live pump rather than the
-  // memoized replay (mirroring StreamingSession::replay_eligible).
-  if (config.loss.model != loss::ErasureKind::kNone ||
-      policy::startup_policy(config.startup.policy).caps.adaptive) {
+  // cursor pump, which advances only on delivery.
+  if (config.loss.model != loss::ErasureKind::kNone) {
     proto->use_periodic_cache(false);
   }
   o.protocol = std::move(proto);

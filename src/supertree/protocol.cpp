@@ -1,6 +1,7 @@
 #include "src/supertree/protocol.hpp"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 
 namespace streamcast::supertree {
@@ -16,39 +17,28 @@ SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
   if (lo_ < 0 || hi_ > topology.clusters() || lo_ >= hi_) {
     throw std::invalid_argument("cluster range out of bounds");
   }
-  // Reserve up front: MultiTreeProtocol holds a reference to its cluster's
-  // Forest, so ClusterState objects must never relocate after intra
-  // construction.
   clusters_.reserve(static_cast<std::size_t>(hi_ - lo_));
   for (int c = lo_; c < hi_; ++c) {
     const NodeKey n = topology.cluster_receivers(c);
     if (n < 1) {
       throw std::invalid_argument("every cluster needs >= 1 receiver");
     }
-    ClusterState state{
-        .forest = multitree::build_greedy(n, topology.small_d()),
-        .intra = nullptr,
-        .super_received = -1,
-        .super_forwarded = -1,
-        .root_received = -1};
-    clusters_.push_back(std::move(state));
-    auto& slot = clusters_.back();
+    ClusterState& slot = clusters_.emplace_back();
     const std::size_t index = clusters_.size() - 1;
-
+    // Each cluster's keys are contiguous from its local root S'_i (local
+    // key 0) through its receivers, so the intra protocol's state is sized
+    // by the cluster, not by the largest global key.
     if (scheme == IntraScheme::kMultiTree) {
-      std::vector<sim::NodeKey> key_map(static_cast<std::size_t>(n) + 1);
-      key_map[0] = topology.local_root(c);
-      for (NodeKey x = 1; x <= n; ++x) {
-        key_map[static_cast<std::size_t>(x)] = topology.receiver(c, x);
-      }
+      slot.forest = std::make_unique<multitree::Forest>(
+          multitree::build_greedy(n, topology.small_d()));
       slot.intra = std::make_unique<multitree::MultiTreeProtocol>(
-          slot.forest, mode,
+          *slot.forest, mode,
           // S'_i may relay packet p in slot t once the backbone delivered
           // it in some earlier slot. `this` and clusters_ outlive intra.
           [this, index](PacketId p, Slot) {
             return clusters_[index].root_received >= p;
           },
-          std::move(key_map));
+          topology.local_root(c));
     } else {
       // Hypercube chain over global keys, with the whole chain's clock
       // shifted by this cluster's static backbone offset: packet tau lands
@@ -64,11 +54,6 @@ SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
           /*source_key=*/topology.local_root(c));
     }
   }
-}
-
-const multitree::Forest& SuperTreeProtocol::forest(int cluster) const {
-  assert(cluster >= lo_ && cluster < hi_);
-  return clusters_[static_cast<std::size_t>(cluster - lo_)].forest;
 }
 
 void SuperTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {

@@ -61,13 +61,12 @@ class SuperTreeProtocol final : public sim::Protocol {
   void deliver(Slot t, const Tx& tx) override;
 
   const Backbone& backbone() const { return backbone_; }
-  /// The cluster's forest (meaningful for kMultiTree; built either way).
-  /// `cluster` must lie in the owned range.
-  const multitree::Forest& forest(int cluster) const;
 
  private:
   struct ClusterState {
-    multitree::Forest forest;
+    /// The greedy forest the intra protocol streams over (kMultiTree
+    /// clusters only).
+    std::unique_ptr<multitree::Forest> forest;
     std::unique_ptr<sim::Protocol> intra;
     PacketId super_received = -1;   // newest packet at S_i (in order)
     PacketId super_forwarded = -1;  // newest packet S_i pushed downstream

@@ -27,7 +27,7 @@ namespace {
 
 using core::Scheme;
 using core::SessionConfig;
-using core::StreamingSession;
+using core::run_session;
 
 std::string describe(const SessionConfig& cfg) {
   std::string s = std::string(core::scheme_name(cfg.scheme)) +
@@ -182,7 +182,7 @@ TEST(AuditGrid, LossyRecoveryRunsStayWithinProvisionedInvariants) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].error) continue;
     if (tasks[i].loss.rate > 0) {
-      EXPECT_GT(results[i].loss.drops, 0) << describe(tasks[i]);
+      EXPECT_GT(results[i].loss->drops, 0) << describe(tasks[i]);
     }
   }
 }
@@ -190,9 +190,9 @@ TEST(AuditGrid, LossyRecoveryRunsStayWithinProvisionedInvariants) {
 TEST(AuditGrid, AuditedRunMatchesUnauditedReport) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeGreedy, .n = 40, .d = 3};
   cfg.audit = false;
-  const auto plain = StreamingSession(cfg).run();
+  const auto plain = run_session(cfg).qos;
   cfg.audit = true;
-  const auto audited = StreamingSession(cfg).run();
+  const auto audited = run_session(cfg).qos;
   EXPECT_EQ(plain.worst_delay, audited.worst_delay);
   EXPECT_EQ(plain.max_buffer, audited.max_buffer);
   EXPECT_EQ(plain.transmissions, audited.transmissions);

@@ -1,4 +1,4 @@
-// StreamingSession facade tests: every scheme runs end to end and the
+// run_session tests: every scheme runs end to end and the
 // reports line up with the per-module closed forms and Table 1's shape.
 #include <gtest/gtest.h>
 
@@ -9,14 +9,14 @@
 #include "src/multitree/analysis.hpp"
 #include "src/multitree/greedy.hpp"
 #include "src/multitree/schedule.hpp"
+#include "src/scheme/registry.hpp"
 #include "src/supertree/analysis.hpp"
 
 namespace streamcast::core {
 namespace {
 
 QosReport run(Scheme scheme, NodeKey n, int d) {
-  return StreamingSession(SessionConfig{.scheme = scheme, .n = n, .d = d})
-      .run();
+  return run_session(SessionConfig{.scheme = scheme, .n = n, .d = d}).qos;
 }
 
 TEST(Session, MultiTreeGreedyMatchesClosedForm) {
@@ -96,9 +96,9 @@ TEST(Session, TableOneShape) {
 
 TEST(Session, LiveModesShiftDelay) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeGreedy, .n = 40, .d = 2};
-  const auto pre = StreamingSession(cfg).run();
+  const auto pre = run_session(cfg).qos;
   cfg.mode = multitree::StreamMode::kLivePrebuffered;
-  const auto live = StreamingSession(cfg).run();
+  const auto live = run_session(cfg).qos;
   EXPECT_EQ(live.worst_delay, pre.worst_delay + 2);
 }
 
@@ -109,21 +109,19 @@ TEST(Session, ReportSummaryMentionsScheme) {
 }
 
 TEST(Session, RejectsBadConfig) {
-  EXPECT_THROW(StreamingSession(SessionConfig{.n = 0}), std::invalid_argument);
-  EXPECT_THROW(
-      StreamingSession(SessionConfig{.n = 5, .d = 0}),
-      std::invalid_argument);
+  EXPECT_THROW(run_session(SessionConfig{.n = 0}), std::invalid_argument);
+  EXPECT_THROW(run_session(SessionConfig{.n = 5, .d = 0}),
+               std::invalid_argument);
 }
 
 TEST(Session, MultiClusterMultiTree) {
-  const auto r = StreamingSession(SessionConfig{
-                     .scheme = Scheme::kMultiTreeGreedy,
-                     .n = 20,
-                     .d = 2,
-                     .clusters = 9,
-                     .big_d = 3,
-                     .t_c = 8})
-                     .run();
+  const auto r = run_session(SessionConfig{.scheme = Scheme::kMultiTreeGreedy,
+                                           .n = 20,
+                                           .d = 2,
+                                           .clusters = 9,
+                                           .big_d = 3,
+                                           .t_c = 8})
+                     .qos;
   EXPECT_EQ(r.n, 180);
   EXPECT_NE(r.scheme.find("x9 clusters"), std::string::npos);
   // Deepest cluster sits 2 backbone hops away: delay reflects 2*T_c.
@@ -133,13 +131,13 @@ TEST(Session, MultiClusterMultiTree) {
 }
 
 TEST(Session, MultiClusterHypercube) {
-  const auto r = StreamingSession(SessionConfig{.scheme = Scheme::kHypercube,
-                                                .n = 7,
-                                                .d = 1,
-                                                .clusters = 4,
-                                                .big_d = 3,
-                                                .t_c = 10})
-                     .run();
+  const auto r = run_session(SessionConfig{.scheme = Scheme::kHypercube,
+                                           .n = 7,
+                                           .d = 1,
+                                           .clusters = 4,
+                                           .big_d = 3,
+                                           .t_c = 10})
+                     .qos;
   EXPECT_EQ(r.n, 28);
   EXPECT_LE(r.max_buffer, 2u);
   EXPECT_LE(r.worst_delay,
@@ -147,11 +145,64 @@ TEST(Session, MultiClusterHypercube) {
 }
 
 TEST(Session, MultiClusterRejectsBaselines) {
-  EXPECT_THROW(StreamingSession(SessionConfig{.scheme = Scheme::kChain,
-                                              .n = 5,
-                                              .d = 1,
-                                              .clusters = 2}),
+  EXPECT_THROW(run_session(SessionConfig{.scheme = Scheme::kChain,
+                                         .n = 5,
+                                         .d = 1,
+                                         .clusters = 2}),
                std::invalid_argument);
+}
+
+TEST(Session, SectionsFollowTheRouteForEveryScheme) {
+  // RunResult's section rule, scheme by scheme: loss and startup exactly on
+  // lossy runs, scale on reliable single-cluster runs at or above the
+  // replay threshold (replayed or pumped), and qos alone across clusters.
+  for (const scheme::Descriptor& desc : scheme::all()) {
+    SCOPED_TRACE(desc.name);
+    SessionConfig cfg{.scheme = desc.id,
+                      .n = 21,
+                      .d = desc.caps.degree_sweep ? 2 : 1};
+
+    cfg.scale.replay_threshold = 22;
+    const RunResult below = run_session(cfg);
+    EXPECT_FALSE(below.loss);
+    EXPECT_FALSE(below.startup);
+    EXPECT_FALSE(below.scale);
+
+    cfg.scale.replay_threshold = 21;
+    const RunResult at = run_session(cfg);
+    EXPECT_FALSE(at.loss);
+    EXPECT_FALSE(at.startup);
+    ASSERT_TRUE(at.scale);
+    EXPECT_EQ(at.scale->nodes, 21);
+    EXPECT_EQ(at.scale->replayed, replay_eligible(cfg));
+    EXPECT_EQ(serialize(at.qos), serialize(below.qos));
+
+    // Every scheme accepts NACK recovery (only the delay-bounded streaming
+    // code is capability-gated).
+    SessionConfig lossy = cfg;
+    lossy.loss.model = loss::ErasureKind::kBernoulli;
+    lossy.loss.rate = 0.02;
+    lossy.loss.recovery_policy = "nack";
+    const RunResult l = run_session(lossy);
+    EXPECT_TRUE(l.loss);
+    EXPECT_TRUE(l.startup);
+    EXPECT_FALSE(l.scale);
+
+    if (desc.caps.multicluster) {
+      SessionConfig multi{.scheme = desc.id,
+                          .n = 8,
+                          .d = cfg.d,
+                          .clusters = 2,
+                          .big_d = 3,
+                          .t_c = 4};
+      multi.scale.replay_threshold = 1;
+      const RunResult m = run_session(multi);
+      EXPECT_EQ(m.qos.n, 16);
+      EXPECT_FALSE(m.loss);
+      EXPECT_FALSE(m.startup);
+      EXPECT_FALSE(m.scale);
+    }
+  }
 }
 
 TEST(Session, SchemeNames) {

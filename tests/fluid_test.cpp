@@ -64,20 +64,20 @@ TEST(FluidDelay, NoSchemeBeatsTheLowerBound) {
   for (const NodeKey n : {10, 50, 200, 500}) {
     for (const int d : {2, 3}) {
       const auto mt =
-          core::StreamingSession(
+          core::run_session(
               core::SessionConfig{.scheme = core::Scheme::kMultiTreeGreedy,
                                   .n = n,
                                   .d = d})
-              .run();
+              .qos;
       // The measured start index corresponds to an elapsed delay of +1.
       EXPECT_GE(mt.worst_delay + 1, min_worst_delay(n, d))
           << "n=" << n << " d=" << d;
       EXPECT_GE(mt.average_delay + 1.0, min_average_delay(n, d));
     }
-    const auto hc = core::StreamingSession(
+    const auto hc = core::run_session(
                         core::SessionConfig{
                             .scheme = core::Scheme::kHypercube, .n = n, .d = 1})
-                        .run();
+                        .qos;
     EXPECT_GE(hc.worst_delay + 1, min_worst_delay(n, 1));
     EXPECT_GE(hc.average_delay + 1.0, min_average_delay(n, 1));
   }

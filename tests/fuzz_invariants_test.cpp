@@ -20,7 +20,7 @@ namespace {
 
 using core::Scheme;
 using core::SessionConfig;
-using core::StreamingSession;
+using core::run_session;
 
 class FuzzSeeds : public ::testing::TestWithParam<int> {};
 
@@ -36,8 +36,7 @@ TEST_P(FuzzSeeds, RandomSessionsRespectUniversalInvariants) {
         Scheme::kChain,           Scheme::kSingleTree,
     }[rng.below(6)];
     const auto report =
-        StreamingSession(SessionConfig{.scheme = scheme, .n = n, .d = d})
-            .run();
+        run_session(SessionConfig{.scheme = scheme, .n = n, .d = d}).qos;
 
     // Universal sanity: nobody starts before the stream exists, nobody
     // beats the fluid dedicated-source bound (elapsed convention; the

@@ -174,6 +174,13 @@ def main() -> int:
     expect_clean("overlay seed: threaded seeds and out-of-scope literals",
                  HERE / "overlay_seed" / "clean")
 
+    # session-shim: core::run_session is the one entry point outside
+    # src/core/; the forwards stay for the session-mix benchmark only.
+    expect_marked("session shim: forwards and old methods flagged",
+                  HERE / "session_shim" / "bad")
+    expect_clean("session shim: run_session, look-alikes and src/core clean",
+                 HERE / "session_shim" / "clean")
+
     # allow() suppressions silence the rules.
     expect_clean("suppression: allow() markers honored",
                  HERE / "suppression")

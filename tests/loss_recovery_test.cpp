@@ -410,6 +410,35 @@ TEST(RecoveryProtocol, XorSeatPastOneLossDecodesTheOther) {
   EXPECT_EQ(std::ranges::count(arrivals.packets, 2), 1);
 }
 
+TEST(RecoveryProtocol, SeatReleasesArrivalsHeldBehindForgivenGaps) {
+  // XorSeatPastOneLossDecodesTheOther's run, seen from the wrapped
+  // protocol: packets 3.. wait in the in-order gate behind the lost 1 and
+  // 2. Seating at live edge 2 forgives 1, so the gate waits on 2 alone;
+  // once the parity decodes it, everything flows on in packet order.
+  net::UniformCluster base(2, 1);
+  net::ProvisionedTopology topo(base, 1, 1);
+  Scripted inner;
+  for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
+  RecoveryProtocol recovery(
+      topo, inner,
+      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  DropSpecific model;
+  model.drop(1);
+  model.drop(2);
+  sim::Engine engine(topo, recovery);
+  engine.set_loss_model(&model);
+  engine.add_observer(recovery);
+  engine.run_until(4);
+  ASSERT_EQ(inner.delivered.size(), 1u);  // 3 waits behind the gaps
+  recovery.seat(1, 2);
+  engine.run_until(12);
+
+  std::vector<PacketId> handed;
+  for (const Delivery& d : inner.delivered) handed.push_back(d.tx.packet);
+  EXPECT_EQ(handed, (std::vector<PacketId>{0, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(recovery.gap_free_prefix(1), 8);
+}
+
 TEST(RecoveryProtocol, XorLateArrivalDecodesWindowsLastLoss) {
   // Two losses in one window leave it unresolved when its parity arrives;
   // a late resend of one loss brings it down to one missing packet, which
@@ -501,20 +530,20 @@ TEST(LossySession, ZeroLossRateIsBitIdenticalAcrossSchemes) {
   };
   for (const auto& c : cases) {
     core::SessionConfig cfg{.scheme = c.scheme, .n = c.n, .d = c.d};
-    const core::QosReport plain = core::StreamingSession(cfg).run();
+    const core::QosReport plain = core::run_session(cfg).qos;
     cfg.loss.model = loss::ErasureKind::kBernoulli;
     cfg.loss.rate = 0.0;
-    const core::LossRunResult lossy = core::StreamingSession(cfg).run_lossy();
+    const core::RunResult lossy = core::run_session(cfg);
     SCOPED_TRACE(plain.scheme);
     expect_identical_reports(plain, lossy.qos);
-    EXPECT_TRUE(lossy.loss.all_gap_free);
-    EXPECT_EQ(lossy.loss.incomplete_nodes, 0);
-    EXPECT_EQ(lossy.loss.drain_slots, 0);
+    EXPECT_TRUE(lossy.loss->all_gap_free);
+    EXPECT_EQ(lossy.loss->incomplete_nodes, 0);
+    EXPECT_EQ(lossy.loss->drain_slots, 0);
     // Playback at the measured playback delay never stalls on a reliable
     // run — the paper's delay definition, restated as a continuity metric.
-    EXPECT_EQ(lossy.loss.stalls, 0);
-    EXPECT_EQ(lossy.loss.stall_slots, 0);
-    EXPECT_EQ(lossy.loss.undecodable, 0);
+    EXPECT_EQ(lossy.loss->stalls, 0);
+    EXPECT_EQ(lossy.loss->stall_slots, 0);
+    EXPECT_EQ(lossy.loss->undecodable, 0);
   }
 }
 
@@ -535,12 +564,12 @@ TEST(LossySession, EveryReceiverReachesGapFreePrefixUnderHeavyLoss) {
     cfg.loss.model = loss::ErasureKind::kBernoulli;
     cfg.loss.rate = c.rate;
     cfg.loss.seed = 17;
-    const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
+    const core::RunResult r = core::run_session(cfg);
     SCOPED_TRACE(r.qos.scheme);
-    EXPECT_TRUE(r.loss.all_gap_free);
-    EXPECT_EQ(r.loss.incomplete_nodes, 0);
-    EXPECT_GT(r.loss.drops, 0);
-    EXPECT_GT(r.loss.retransmissions, 0);
+    EXPECT_TRUE(r.loss->all_gap_free);
+    EXPECT_EQ(r.loss->incomplete_nodes, 0);
+    EXPECT_GT(r.loss->drops, 0);
+    EXPECT_GT(r.loss->retransmissions, 0);
   }
 }
 
@@ -552,10 +581,10 @@ TEST(LossySession, GilbertElliottBurstsAreRepaired) {
   cfg.loss.ge = {.p_enter = 0.02, .p_recover = 0.25, .loss_good = 0.0,
                  .loss_bad = 1.0};
   cfg.loss.seed = 3;
-  const core::LossRunResult r = core::StreamingSession(cfg).run_lossy();
-  EXPECT_TRUE(r.loss.all_gap_free);
-  EXPECT_EQ(r.loss.incomplete_nodes, 0);
-  EXPECT_GT(r.loss.drops, 0);
+  const core::RunResult r = core::run_session(cfg);
+  EXPECT_TRUE(r.loss->all_gap_free);
+  EXPECT_EQ(r.loss->incomplete_nodes, 0);
+  EXPECT_GT(r.loss->drops, 0);
 }
 
 TEST(LossySession, DeterministicAcrossRuns) {
@@ -565,13 +594,13 @@ TEST(LossySession, DeterministicAcrossRuns) {
   cfg.loss.model = loss::ErasureKind::kBernoulli;
   cfg.loss.rate = 0.1;
   cfg.loss.seed = 99;
-  const core::LossRunResult a = core::StreamingSession(cfg).run_lossy();
-  const core::LossRunResult b = core::StreamingSession(cfg).run_lossy();
+  const core::RunResult a = core::run_session(cfg);
+  const core::RunResult b = core::run_session(cfg);
   EXPECT_EQ(a.qos.worst_delay, b.qos.worst_delay);
   EXPECT_EQ(a.qos.transmissions, b.qos.transmissions);
-  EXPECT_EQ(a.loss.drops, b.loss.drops);
-  EXPECT_EQ(a.loss.retransmissions, b.loss.retransmissions);
-  EXPECT_EQ(a.loss.stall_slots, b.loss.stall_slots);
+  EXPECT_EQ(a.loss->drops, b.loss->drops);
+  EXPECT_EQ(a.loss->retransmissions, b.loss->retransmissions);
+  EXPECT_EQ(a.loss->stall_slots, b.loss->stall_slots);
 }
 
 TEST(LossySession, MultiClusterWithLossRejected) {
@@ -581,7 +610,7 @@ TEST(LossySession, MultiClusterWithLossRejected) {
                           .clusters = 2};
   cfg.loss.model = loss::ErasureKind::kBernoulli;
   cfg.loss.rate = 0.1;
-  EXPECT_THROW(core::StreamingSession{cfg}, std::invalid_argument);
+  EXPECT_THROW(core::run_session(cfg), std::invalid_argument);
 }
 
 // --- playback-continuity metrics ------------------------------------------

@@ -1,9 +1,9 @@
 // Offline golden-capture utility for the policy-layer parity suites.
 //
 // With no argument, prints the complete tests/policy_parity_golden.inc to
-// stdout: every cell of policy_parity_cells() run through
-// StreamingSession::run_lossy() and every cell of policy_shard_cells()
-// through run(), serialized with core::serialize(). That golden was captured
+// stdout: every cell of policy_parity_cells() and of policy_shard_cells()
+// run through core::run_session() and serialized with core::serialize()
+// (the lossy cells carry the loss line). That golden was captured
 // from the tree ONE COMMIT BEFORE the src/policy extraction landed (the
 // monolithic RecoveryProtocol with its RecoveryMode switches), so the parity
 // test proves the refactor byte-identical.
@@ -22,6 +22,8 @@
 
 #include <iostream>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/core/report.hpp"
 #include "src/core/session.hpp"
@@ -42,15 +44,13 @@ void print_policy_parity() {
                "// via tests/policy_golden_capture.cpp.\n"
                "inline constexpr const char* kPolicyParityGolden = "
                "R\"GOLD(\n";
-  for (const core::PolicyParityCell& cell : core::policy_parity_cells()) {
-    const core::StreamingSession session(cell.cfg);
-    const core::LossRunResult r = session.run_lossy();
-    std::cout << "=== " << cell.id << "\n" << core::serialize(r) << "\n";
+  std::vector<core::PolicyParityCell> cells = core::policy_parity_cells();
+  for (core::PolicyParityCell& cell : core::policy_shard_cells()) {
+    cells.push_back(std::move(cell));
   }
-  for (const core::PolicyParityCell& cell : core::policy_shard_cells()) {
-    const core::StreamingSession session(cell.cfg);
-    const core::QosReport q = session.run();
-    std::cout << "=== " << cell.id << "\n" << core::serialize(q) << "\n";
+  for (const core::PolicyParityCell& cell : cells) {
+    std::cout << "=== " << cell.id << "\n"
+              << core::serialize(core::run_session(cell.cfg)) << "\n";
   }
   std::cout << ")GOLD\";\n";
 }
@@ -66,9 +66,9 @@ void print_recovery_state() {
                "inline constexpr const char* kRecoveryStateGolden = "
                "R\"GOLD(\n";
   for (const core::RecoveryStateCell& cell : core::recovery_state_cells()) {
-    const core::LossRunResult r = core::StreamingSession(cell.cfg).run_lossy();
     std::cout << "=== " << cell.id << "\n"
-              << core::render_recovery_cell(cell, r) << "\n";
+              << core::render_recovery_cell(cell, core::run_session(cell.cfg))
+              << "\n";
   }
   std::cout << ")GOLD\";\n";
 }

@@ -75,16 +75,12 @@ TEST(PolicyParity, SerialCellsMatchPreRefactorGolden) {
   const auto shard = policy_shard_cells();
   ASSERT_EQ(golden.size(), lossy.size() + shard.size())
       << "cell list and golden capture drifted";
-  for (const PolicyParityCell& cell : lossy) {
+  std::vector<PolicyParityCell> cells = lossy;
+  cells.insert(cells.end(), shard.begin(), shard.end());
+  for (const PolicyParityCell& cell : cells) {
     const auto it = golden.find(cell.id);
     ASSERT_NE(it, golden.end()) << "no golden for cell: " << cell.id;
-    const LossRunResult r = StreamingSession(cell.cfg).run_lossy();
-    EXPECT_EQ(serialize(r), it->second) << "parity break in cell: " << cell.id;
-  }
-  for (const PolicyParityCell& cell : shard) {
-    const auto it = golden.find(cell.id);
-    ASSERT_NE(it, golden.end()) << "no golden for cell: " << cell.id;
-    EXPECT_EQ(serialize(StreamingSession(cell.cfg).run()), it->second)
+    EXPECT_EQ(serialize(run_session(cell.cfg)), it->second)
         << "parity break in cell: " << cell.id;
   }
 }
@@ -101,10 +97,8 @@ TEST(PolicyParity, SweepThreadCountsMatchPreRefactorGolden) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const auto it = golden.find(cells[i].id);
       ASSERT_NE(it, golden.end());
-      const std::string got =
-          serialize(LossRunResult{results[i].qos, results[i].loss, {}});
-      EXPECT_EQ(got, it->second) << "threads=" << threads
-                                 << " parity break in cell: " << cells[i].id;
+      EXPECT_EQ(serialize(results[i]), it->second)
+          << "threads=" << threads << " parity break in cell: " << cells[i].id;
     }
   }
 }
@@ -117,8 +111,7 @@ TEST(RecoveryStateParity, CellsMatchGolden) {
   for (const RecoveryStateCell& cell : cells) {
     const auto it = golden.find(cell.id);
     ASSERT_NE(it, golden.end()) << "no golden for cell: " << cell.id;
-    const LossRunResult r = StreamingSession(cell.cfg).run_lossy();
-    EXPECT_EQ(render_recovery_cell(cell, r), it->second)
+    EXPECT_EQ(render_recovery_cell(cell, run_session(cell.cfg)), it->second)
         << "parity break in cell: " << cell.id;
   }
 }
@@ -152,10 +145,13 @@ TEST(PolicyRegistry, RecoveryEntriesAndCaps) {
 }
 
 TEST(PolicyRegistry, StartupEntriesAndCaps) {
-  ASSERT_EQ(policy::startup_policies().size(), 3u);
-  EXPECT_FALSE(policy::startup_policy("fixed").caps.adaptive);
-  EXPECT_TRUE(policy::startup_policy("progressive-ramp").caps.adaptive);
-  EXPECT_TRUE(policy::startup_policy("loss-adaptive").caps.adaptive);
+  // Startup policies carry no capability flags: they act on lossy runs
+  // only, which never replay, so nothing gates on the policy.
+  const auto all = policy::startup_policies();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_STREQ(all[0].name, "fixed");
+  EXPECT_STREQ(all[1].name, "progressive-ramp");
+  EXPECT_STREQ(all[2].name, "loss-adaptive");
   EXPECT_THROW(policy::startup_policy("instant"), std::invalid_argument);
 }
 
@@ -228,13 +224,13 @@ TEST(StartupPolicies, LossAdaptiveScalesPrebufferWithLossFraction) {
 TEST(PolicySession, UnknownPolicyNamesRejected) {
   SessionConfig cfg{.scheme = Scheme::kChain, .n = 4, .d = 1};
   cfg.loss.recovery_policy = "fountain";
-  EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  EXPECT_THROW(run_session(cfg), std::invalid_argument);
   cfg.loss.recovery_policy.clear();
   cfg.startup.policy = "instant";
-  EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  EXPECT_THROW(run_session(cfg), std::invalid_argument);
   cfg.startup.policy = "fixed";
   cfg.loss.code.burst = 0;
-  EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  EXPECT_THROW(run_session(cfg), std::invalid_argument);
 }
 
 TEST(PolicySession, BoundedRecoveryRejectedOnDemandDrivenSchemes) {
@@ -242,37 +238,54 @@ TEST(PolicySession, BoundedRecoveryRejectedOnDemandDrivenSchemes) {
   cfg.loss.model = loss::ErasureKind::kBernoulli;
   cfg.loss.rate = 0.05;
   cfg.loss.recovery_policy = "streaming-code";
-  EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument);
+  EXPECT_THROW(run_session(cfg), std::invalid_argument);
   cfg.scheme = Scheme::kChain;  // link-visible losses: accepted
-  EXPECT_NO_THROW(StreamingSession{cfg});
+  EXPECT_NO_THROW(run_session(cfg));
 }
 
 TEST(PolicySession, AdaptiveStartupDisablesClosedFormReplay) {
+  // Startup policies act on lossy runs only, and a lossy run never replays
+  // in closed form: the policy itself no longer enters eligibility.
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 40, .d = 2};
   cfg.audit = false;
-  ASSERT_TRUE(StreamingSession::replay_eligible(cfg));
+  ASSERT_TRUE(replay_eligible(cfg));
   cfg.startup.policy = "loss-adaptive";
-  EXPECT_FALSE(StreamingSession::replay_eligible(cfg));
-  cfg.startup.policy = "progressive-ramp";
-  EXPECT_FALSE(StreamingSession::replay_eligible(cfg));
+  cfg.loss.model = loss::ErasureKind::kBernoulli;
+  EXPECT_FALSE(replay_eligible(cfg));
 }
 
 TEST(PolicySession, RunStartupReportsRampEarlierThanFixed) {
+  // A Bernoulli p = 0 run: the lossy wiring, whose QoS is byte-identical to
+  // the reliable run's (LossySession.ZeroLossRateIsBitIdenticalAcrossSchemes),
+  // plus the startup fold. Both summaries are the ones the removed reliable
+  // startup path produced for this chain.
   SessionConfig cfg{.scheme = Scheme::kChain, .n = 10, .d = 1};
-  const LossRunResult fixed = StreamingSession(cfg).run_startup();
-  EXPECT_EQ(fixed.startup.policy, "fixed");
-  EXPECT_EQ(fixed.startup.max_start, fixed.qos.worst_delay);
-  EXPECT_EQ(fixed.startup.stalls, 0);
+  cfg.loss.model = loss::ErasureKind::kBernoulli;
+  cfg.loss.rate = 0.0;
+  const RunResult fixed = run_session(cfg);
+  ASSERT_TRUE(fixed.startup);
+  EXPECT_EQ(fixed.startup->policy, "fixed");
+  EXPECT_EQ(fixed.startup->max_start, fixed.qos.worst_delay);
+  EXPECT_EQ(fixed.startup->stalls, 0);
+  EXPECT_EQ(serialize(*fixed.startup),
+            "startup policy=fixed max_start=9 average_start=9 "
+            "earliest_start=9 stalls=0 stall_slots=0 undecodable=0 "
+            "max_finish=17");
 
   cfg.startup.policy = "progressive-ramp";
-  const LossRunResult ramp = StreamingSession(cfg).run_startup();
-  EXPECT_EQ(ramp.startup.policy, "progressive-ramp");
+  const RunResult ramp = run_session(cfg);
+  ASSERT_TRUE(ramp.startup);
+  EXPECT_EQ(ramp.startup->policy, "progressive-ramp");
   // The chain delivers in order at rate 1, so a one-slot prebuffer after
   // each receiver's first arrival already plays without stalling — strictly
   // earlier than the worst-delay fixed start, at zero stalls.
-  EXPECT_EQ(ramp.startup.stalls, 0);
-  EXPECT_LT(ramp.startup.earliest_start, fixed.startup.max_start);
-  EXPECT_LE(ramp.startup.max_start, fixed.startup.max_start);
+  EXPECT_EQ(ramp.startup->stalls, 0);
+  EXPECT_LT(ramp.startup->earliest_start, fixed.startup->max_start);
+  EXPECT_LE(ramp.startup->max_start, fixed.startup->max_start);
+  EXPECT_EQ(serialize(*ramp.startup),
+            "startup policy=progressive-ramp max_start=9 "
+            "average_start=5.4000000000000004 earliest_start=1 stalls=0 "
+            "stall_slots=0 undecodable=0 max_finish=17");
   // The same schedule bytes underneath: the startup policy only moves the
   // replay cursor, never the simulation.
   EXPECT_EQ(serialize(ramp.qos), serialize(fixed.qos));
@@ -284,12 +297,12 @@ TEST(PolicySession, LossAdaptiveStartupOnLossyRun) {
   cfg.loss.rate = 0.05;
   cfg.loss.seed = 11;
   cfg.startup.policy = "loss-adaptive";
-  const LossRunResult r = StreamingSession(cfg).run_lossy();
-  EXPECT_EQ(r.startup.policy, "loss-adaptive");
-  EXPECT_GT(r.startup.max_start, 0);
-  EXPECT_LE(r.startup.max_start, r.qos.worst_delay);
-  EXPECT_LE(r.startup.earliest_start, r.startup.max_start);
-  const std::string line = serialize(r.startup);
+  const RunResult r = run_session(cfg);
+  EXPECT_EQ(r.startup->policy, "loss-adaptive");
+  EXPECT_GT(r.startup->max_start, 0);
+  EXPECT_LE(r.startup->max_start, r.qos.worst_delay);
+  EXPECT_LE(r.startup->earliest_start, r.startup->max_start);
+  const std::string line = serialize(*r.startup);
   EXPECT_NE(line.find("startup policy=loss-adaptive"), std::string::npos);
   EXPECT_NE(line.find("max_finish="), std::string::npos);
 }
@@ -455,13 +468,13 @@ TEST(StreamingCode, SessionGeBurstLongerThanDecodeDelayReportsUndecodable) {
   cfg.loss.recovery_policy = "streaming-code";
   cfg.loss.code = {.decode_delay = 4, .burst = 2};
   cfg.loss.max_drain = 4096;
-  const LossRunResult r = StreamingSession(cfg).run_lossy();
-  EXPECT_GT(r.loss.unrecoverable, 0);
-  EXPECT_GT(r.loss.undecodable, 0);
-  EXPECT_FALSE(r.loss.all_gap_free);
-  EXPECT_GT(r.loss.max_erasure_run, 2);
+  const RunResult r = run_session(cfg);
+  EXPECT_GT(r.loss->unrecoverable, 0);
+  EXPECT_GT(r.loss->undecodable, 0);
+  EXPECT_FALSE(r.loss->all_gap_free);
+  EXPECT_GT(r.loss->max_erasure_run, 2);
   // The bounded-recovery drain stop fired long before the drain budget.
-  EXPECT_LT(r.loss.drain_slots, 4096);
+  EXPECT_LT(r.loss->drain_slots, 4096);
 }
 
 TEST(StreamingCode, SessionGuaranteedRegionHasNoUndecodableGaps) {
@@ -477,14 +490,14 @@ TEST(StreamingCode, SessionGuaranteedRegionHasNoUndecodableGaps) {
   cfg.loss.recovery_policy = "streaming-code";
   cfg.loss.code = {.decode_delay = 12, .burst = 4};
   cfg.loss.max_drain = 4096;
-  const LossRunResult r = StreamingSession(cfg).run_lossy();
-  ASSERT_GT(r.loss.drops, 0);
-  ASSERT_LE(r.loss.max_erasure_run, 4);
-  ASSERT_EQ(r.loss.guard_collisions, 0);
-  EXPECT_EQ(r.loss.unrecoverable, 0);
-  EXPECT_EQ(r.loss.undecodable, 0);
-  EXPECT_TRUE(r.loss.all_gap_free);
-  EXPECT_GT(r.loss.fec_decodes, 0);
+  const RunResult r = run_session(cfg);
+  ASSERT_GT(r.loss->drops, 0);
+  ASSERT_LE(r.loss->max_erasure_run, 4);
+  ASSERT_EQ(r.loss->guard_collisions, 0);
+  EXPECT_EQ(r.loss->unrecoverable, 0);
+  EXPECT_EQ(r.loss->undecodable, 0);
+  EXPECT_TRUE(r.loss->all_gap_free);
+  EXPECT_GT(r.loss->fec_decodes, 0);
 }
 
 // --- churn backfill seams (satellite: dynamic-trees repair channel) --------

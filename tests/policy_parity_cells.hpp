@@ -4,9 +4,9 @@
 // the monolithic loss::RecoveryProtocol into src/policy, and the fixed
 // playback-start slot consumed by metrics/continuity became the `fixed`
 // startup policy. Both moves must be byte-invisible: every cell below is a
-// fully-specified SessionConfig whose serialized LossRunResult (or QosReport
-// for the lossless sharded cells) was captured from the PRE-refactor tree
-// and committed in policy_parity_golden.inc. The parity suite re-runs the
+// fully-specified SessionConfig whose serialized RunResult (the qos line,
+// plus the loss line for the lossy cells) was captured from the PRE-refactor
+// tree and committed in policy_parity_golden.inc. The parity suite re-runs the
 // cells through the policy registry — serially, through run::run_sweep at
 // several thread counts, and (for the multicluster cells) at several shard
 // counts — and asserts the bytes did not move.

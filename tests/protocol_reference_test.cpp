@@ -342,9 +342,9 @@ Schedule run_reliable(const net::Topology& topology, sim::Protocol& protocol,
 
 /// Same, wrapped in a NACK RecoveryProtocol under Bernoulli loss, as a
 /// lossy hypercube session is (gap sweep at the overlay's slack).
-Schedule run_lossy(const net::Topology& base, sim::Protocol& protocol,
-                   Slot horizon, Slot gap_timeout, double rate,
-                   std::uint64_t seed) {
+Schedule run_nack(const net::Topology& base, sim::Protocol& protocol,
+                  Slot horizon, Slot gap_timeout, double rate,
+                  std::uint64_t seed) {
   net::ProvisionedTopology topology(base, 1, 1);
   Recorded recorded(protocol);
   loss::RecoveryProtocol recovery(
@@ -550,8 +550,8 @@ TEST(HypercubeReference, NackRecoveryUnderLossMatchesSetModel) {
                                     " rate=" + std::to_string(rate) +
                                     " seed=" + std::to_string(seed);
           expect_same_schedule(
-              run_lossy(*o.topology, flat, horizon, o.slack, rate, seed),
-              run_lossy(*o.topology, reference, horizon, o.slack, rate, seed),
+              run_nack(*o.topology, flat, horizon, o.slack, rate, seed),
+              run_nack(*o.topology, reference, horizon, o.slack, rate, seed),
               label);
           EXPECT_EQ(flat.max_buffered(), reference.max_buffered()) << label;
           refused += reference.refused();

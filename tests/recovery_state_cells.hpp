@@ -40,13 +40,13 @@ struct RecoveryStateCell {
 /// The golden rendering of one cell: serialize() plus, for streaming-code
 /// cells, the channel-health counters serialize() leaves out.
 inline std::string render_recovery_cell(const RecoveryStateCell& cell,
-                                        const LossRunResult& r) {
+                                        const RunResult& r) {
   std::ostringstream os;
   os << serialize(r);
   if (cell.cfg.loss.recovery_policy == "streaming-code") {
-    os << "\ncode max_erasure_run=" << r.loss.max_erasure_run
-       << " guard_collisions=" << r.loss.guard_collisions
-       << " unrecoverable=" << r.loss.unrecoverable;
+    os << "\ncode max_erasure_run=" << r.loss->max_erasure_run
+       << " guard_collisions=" << r.loss->guard_collisions
+       << " unrecoverable=" << r.loss->unrecoverable;
   }
   return os.str();
 }

@@ -71,15 +71,7 @@ std::string render(const std::vector<run::TaskResult>& results) {
       }
       continue;
     }
-    os << r.qos.summary() << " slots=" << r.qos.slots_simulated
-       << " avgbuf=" << r.qos.average_buffer
-       << " avgnb=" << r.qos.average_neighbors << " drops=" << r.loss.drops
-       << " retx=" << r.loss.retransmissions
-       << " parity=" << r.loss.parity_transmissions
-       << " fec=" << r.loss.fec_decodes << " nacks=" << r.loss.nacks
-       << " gapfree=" << r.loss.all_gap_free << " stalls=" << r.loss.stalls
-       << " undecodable=" << r.loss.undecodable
-       << " drain=" << r.loss.drain_slots << "\n";
+    os << core::serialize(r) << "\n";
   }
   return os.str();
 }
@@ -97,7 +89,7 @@ TEST(RunSweep, ByteIdenticalReportsAcrossThreadCounts) {
 
 TEST(RunSweep, MatchesDirectSessionRun) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeGreedy, .n = 40, .d = 3};
-  const auto direct = core::StreamingSession(cfg).run();
+  const auto direct = core::run_session(cfg).qos;
   const auto swept = run::run_sweep({cfg}, {.threads = 4});
   ASSERT_EQ(swept.size(), 1u);
   ASSERT_FALSE(swept[0].error);

@@ -23,7 +23,8 @@ namespace {
 using core::QosReport;
 using core::Scheme;
 using core::SessionConfig;
-using core::StreamingSession;
+using core::replay_eligible;
+using core::run_session;
 using sim::NodeKey;
 
 // --- GK sketch -------------------------------------------------------------
@@ -323,7 +324,7 @@ TEST(Budget, SessionFailsFastNeverOoms) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 511, .d = 3};
   cfg.scale.budget_bytes = 10'000;
   cfg.scale.allow_replay = false;
-  EXPECT_THROW((void)StreamingSession(cfg).run(), util::BudgetExceeded);
+  EXPECT_THROW((void)run_session(cfg), util::BudgetExceeded);
 }
 
 // --- structured placement inverse ------------------------------------------
@@ -348,14 +349,14 @@ TEST(StructuredNodeAt, InvertsStructuredPositionEverywhere) {
 
 QosReport run_pumped(SessionConfig cfg) {
   cfg.scale.allow_replay = false;
-  return StreamingSession(cfg).run();
+  return run_session(cfg).qos;
 }
 
 QosReport run_replayed(SessionConfig cfg) {
   cfg.scale.replay_threshold = 1;  // always replay
   cfg.audit = false;  // the auditor watches slots; a replay has none
-  EXPECT_TRUE(StreamingSession::replay_eligible(cfg));
-  return StreamingSession(cfg).run();
+  EXPECT_TRUE(replay_eligible(cfg));
+  return run_session(cfg).qos;
 }
 
 TEST(Replay, ByteIdenticalToPumpAcrossGrid) {
@@ -387,32 +388,32 @@ TEST(Replay, HonorsExplicitWindow) {
 TEST(Replay, EligibilityGates) {
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 100, .d = 3};
   cfg.audit = false;
-  EXPECT_TRUE(StreamingSession::replay_eligible(cfg));
+  EXPECT_TRUE(replay_eligible(cfg));
 
   SessionConfig greedy = cfg;
   greedy.scheme = Scheme::kMultiTreeGreedy;
-  EXPECT_FALSE(StreamingSession::replay_eligible(greedy));
+  EXPECT_FALSE(replay_eligible(greedy));
 
   SessionConfig pipelined = cfg;
   pipelined.mode = multitree::StreamMode::kLivePipelined;
-  EXPECT_FALSE(StreamingSession::replay_eligible(pipelined));
+  EXPECT_FALSE(replay_eligible(pipelined));
 
   SessionConfig audited = cfg;
   audited.audit = true;
-  EXPECT_FALSE(StreamingSession::replay_eligible(audited));
+  EXPECT_FALSE(replay_eligible(audited));
 
   SessionConfig lossy = cfg;
   lossy.loss.model = loss::ErasureKind::kBernoulli;
   lossy.loss.rate = 0.01;
-  EXPECT_FALSE(StreamingSession::replay_eligible(lossy));
+  EXPECT_FALSE(replay_eligible(lossy));
 
   SessionConfig narrow = cfg;
   narrow.window = 2;  // < d: not every residue is measured
-  EXPECT_FALSE(StreamingSession::replay_eligible(narrow));
+  EXPECT_FALSE(replay_eligible(narrow));
 
   SessionConfig disabled = cfg;
   disabled.scale.allow_replay = false;
-  EXPECT_FALSE(StreamingSession::replay_eligible(disabled));
+  EXPECT_FALSE(replay_eligible(disabled));
 }
 
 TEST(Replay, SummaryMatchesSimulatedSummary) {
@@ -421,18 +422,18 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
   // exactly, not just within epsilon.
   for (const NodeKey n : {40, 121}) {
     SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = n, .d = 3};
+    cfg.scale.replay_threshold = 1;  // both runs carry the scale section
     SessionConfig sim_cfg = cfg;
     sim_cfg.scale.allow_replay = false;
-    const core::ScaleRunResult simulated =
-        StreamingSession(sim_cfg).run_scale();
+    const core::RunResult simulated = run_session(sim_cfg);
     SessionConfig replay_cfg = cfg;
-    replay_cfg.scale.replay_threshold = 1;
     replay_cfg.audit = false;
-    const core::ScaleRunResult replayed =
-        StreamingSession(replay_cfg).run_scale();
+    const core::RunResult replayed = run_session(replay_cfg);
 
-    EXPECT_FALSE(simulated.summary.replayed);
-    EXPECT_TRUE(replayed.summary.replayed);
+    ASSERT_TRUE(simulated.scale);
+    ASSERT_TRUE(replayed.scale);
+    EXPECT_FALSE(simulated.scale->replayed);
+    EXPECT_TRUE(replayed.scale->replayed);
     EXPECT_EQ(core::serialize(simulated.qos), core::serialize(replayed.qos));
     const auto expect_equal = [](const scale::QuantileSummary& a,
                                  const scale::QuantileSummary& b) {
@@ -444,25 +445,26 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
       EXPECT_EQ(a.p95, b.p95);
       EXPECT_EQ(a.p99, b.p99);
     };
-    expect_equal(simulated.summary.delay, replayed.summary.delay);
-    expect_equal(simulated.summary.buffer, replayed.summary.buffer);
+    expect_equal(simulated.scale->delay, replayed.scale->delay);
+    expect_equal(simulated.scale->buffer, replayed.scale->buffer);
   }
 }
 
 TEST(Replay, ThresholdRoutesAutomatically) {
-  // Below the replay threshold run() pumps; at/above it run() replays.
-  // Both must agree bytewise, so the routing is observable only through
-  // the summary's replayed flag.
+  // Below the replay threshold run_session() pumps and carries no scale
+  // section; at/above it, it replays. Both must agree bytewise, so the
+  // routing is observable only through the scale section.
   SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 200, .d = 2};
   cfg.scale.replay_threshold = 100;
   cfg.audit = false;
-  const core::ScaleRunResult routed = StreamingSession(cfg).run_scale();
-  EXPECT_TRUE(routed.summary.replayed);
+  const core::RunResult routed = run_session(cfg);
+  ASSERT_TRUE(routed.scale);
+  EXPECT_TRUE(routed.scale->replayed);
 
   cfg.audit = core::kAuditDefault;
   cfg.scale.replay_threshold = 1'000;
-  const core::ScaleRunResult pumped = StreamingSession(cfg).run_scale();
-  EXPECT_FALSE(pumped.summary.replayed);
+  const core::RunResult pumped = run_session(cfg);
+  EXPECT_FALSE(pumped.scale);
   EXPECT_EQ(core::serialize(routed.qos), core::serialize(pumped.qos));
 }
 

@@ -60,13 +60,9 @@ std::vector<SessionConfig> representative_configs(std::uint64_t seed) {
   return cfgs;
 }
 
-std::string serialize_result(const SessionConfig& cfg,
-                             const run::TaskResult& r) {
+std::string serialize_result(const run::TaskResult& r) {
   if (r.error) std::rethrow_exception(r.error);
-  if (cfg.loss.model != loss::ErasureKind::kNone) {
-    return serialize(LossRunResult{r.qos, r.loss, {}});
-  }
-  return serialize(r.qos);
+  return serialize(r);
 }
 
 TEST(SchemeDifferential, ReportsAreByteIdenticalAcrossRunnersAndThreads) {
@@ -80,19 +76,18 @@ TEST(SchemeDifferential, ReportsAreByteIdenticalAcrossRunnersAndThreads) {
   const auto parallel = run::run_sweep(tasks, {.threads = 8});
   ASSERT_EQ(serial.size(), tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::string a = serialize_result(tasks[i], serial[i]);
-    const std::string b = serialize_result(tasks[i], parallel[i]);
+    const std::string a = serialize_result(serial[i]);
+    const std::string b = serialize_result(parallel[i]);
     EXPECT_EQ(a, b) << "thread-count divergence: " << describe(tasks[i]);
     if (i >= repeats) {
-      EXPECT_EQ(a, serialize_result(tasks[i], serial[i - repeats]))
+      EXPECT_EQ(a, serialize_result(serial[i - repeats]))
           << "repeat divergence: " << describe(tasks[i]);
     }
   }
   for (std::size_t i = 0; i < repeats; ++i) {
     SessionConfig plain = tasks[i];
     plain.audit = false;
-    EXPECT_EQ(serialize(StreamingSession(plain).run()),
-              serialize_result(tasks[i], serial[i]))
+    EXPECT_EQ(serialize(run_session(plain)), serialize_result(serial[i]))
         << "session/sweep divergence: " << describe(tasks[i]);
   }
 }
@@ -107,7 +102,7 @@ TEST(SchemeDifferential, DistinctSeedsChangeRandomizedOverlaysOnly) {
                         .n = desc.caps.degree_sweep ? NodeKey{30} : NodeKey{25},
                         .d = desc.caps.degree_sweep ? 2 : 1};
       cfg.seed = seed;
-      reports.push_back(serialize(StreamingSession(cfg).run()));
+      reports.push_back(serialize(run_session(cfg)));
     }
     if (randomized) {
       // Different seeds must draw different overlays; demanding that at
@@ -131,17 +126,9 @@ TEST(SchemeDifferential, InvariantCellsAreAuditCleanAndAuditInvisible) {
     plain.audit = false;
     SessionConfig audited = cell.cfg;
     audited.audit = true;
-    std::string a;
+    const std::string a = serialize(run_session(plain));
     std::string b;
-    if (cell.cfg.loss.model != loss::ErasureKind::kNone) {
-      a = serialize(StreamingSession(plain).run_lossy());
-      ASSERT_NO_THROW(b = serialize(StreamingSession(audited).run_lossy()))
-          << cell.id;
-    } else {
-      a = serialize(StreamingSession(plain).run());
-      ASSERT_NO_THROW(b = serialize(StreamingSession(audited).run()))
-          << cell.id;
-    }
+    ASSERT_NO_THROW(b = serialize(run_session(audited))) << cell.id;
     EXPECT_EQ(a, b) << "auditor perturbed the run: " << cell.id;
   }
 }
@@ -194,7 +181,7 @@ TEST(SchemeDifferential, RandomRegularDelayTracksTheLogEnvelope) {
       for (const std::uint64_t seed : {1u, 2u, 3u}) {
         SessionConfig cfg{.scheme = Scheme::kRandomRegular, .n = n, .d = d};
         cfg.seed = seed;
-        const QosReport r = StreamingSession(cfg).run();
+        const QosReport r = run_session(cfg).qos;
         const sim::Slot bound = rrd::delay_bound(n, d);
         EXPECT_LE(r.worst_delay, bound) << describe(cfg);
         EXPECT_LE(r.max_buffer, bound + 1) << describe(cfg);

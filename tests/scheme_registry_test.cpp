@@ -51,14 +51,6 @@ std::map<std::string, std::string> parse_golden() {
   return golden;
 }
 
-std::string run_cell(const SessionConfig& cfg) {
-  StreamingSession session(cfg);
-  if (cfg.loss.model != loss::ErasureKind::kNone) {
-    return serialize(session.run_lossy());
-  }
-  return serialize(session.run());
-}
-
 TEST(SchemeParity, EveryCellMatchesPreRefactorGolden) {
   const auto golden = parse_golden();
   const auto cells = parity_cells();
@@ -75,24 +67,20 @@ TEST(SchemeParity, EveryCellMatchesPreRefactorGolden) {
     const ParityCell& cell = cells[i];
     const auto it = golden.find(cell.id);
     ASSERT_NE(it, golden.end()) << "no golden for cell: " << cell.id;
-    std::string got;
-    if (cell.cfg.loss.model != loss::ErasureKind::kNone) {
-      got = serialize(LossRunResult{results[i].qos, results[i].loss, {}});
-    } else {
-      got = serialize(results[i].qos);
-    }
-    EXPECT_EQ(got, it->second) << "parity break in cell: " << cell.id;
+    EXPECT_EQ(serialize(results[i]), it->second)
+        << "parity break in cell: " << cell.id;
   }
 }
 
 TEST(SchemeParity, SerialSessionMatchesSweepPath) {
   // One lossless and one lossy cell re-run through the plain session API:
-  // run_sweep and StreamingSession must be the same pipeline.
+  // run_sweep and run_session must be the same pipeline.
   const auto golden = parse_golden();
   for (const ParityCell& cell : parity_cells()) {
     if (cell.id == "hypercube mode=pre loss=none" ||
         cell.id == "chain mode=pre loss=ge") {
-      EXPECT_EQ(run_cell(cell.cfg), golden.at(cell.id)) << cell.id;
+      EXPECT_EQ(serialize(run_session(cell.cfg)), golden.at(cell.id))
+          << cell.id;
     }
   }
 }
@@ -160,10 +148,9 @@ TEST(SchemeRegistry, CapabilitiesMatchLegacyDispatch) {
     SessionConfig cfg{.scheme = desc.id, .n = 8, .d = 2, .clusters = 2,
                       .big_d = 3, .t_c = 4};
     if (legacy_ok) {
-      EXPECT_NO_THROW(StreamingSession{cfg}) << desc.name;
+      EXPECT_NO_THROW(run_session(cfg)) << desc.name;
     } else {
-      EXPECT_THROW(StreamingSession{cfg}, std::invalid_argument)
-          << desc.name;
+      EXPECT_THROW(run_session(cfg), std::invalid_argument) << desc.name;
     }
   }
   // Live stream modes: multi-tree only.
@@ -198,8 +185,8 @@ TEST(SchemeRegistry, LiveModeCellsDifferOnlyForLiveSchemes) {
                       .mode = multitree::StreamMode::kPreRecorded};
     SessionConfig live = pre;
     live.mode = multitree::StreamMode::kLivePipelined;
-    const auto a = serialize(StreamingSession(pre).run());
-    const auto b = serialize(StreamingSession(live).run());
+    const auto a = serialize(run_session(pre));
+    const auto b = serialize(run_session(live));
     if (desc.caps.live_modes) {
       EXPECT_NE(a, b) << desc.name;
     } else {
@@ -228,16 +215,8 @@ TEST(SchemeRegistry, AuditedRunsAreByteIdenticalToUnaudited) {
     cfg.audit = false;
     SessionConfig audited = cfg;
     audited.audit = true;
-    std::string plain;
-    std::string checked;
-    if (cfg.loss.model != loss::ErasureKind::kNone) {
-      plain = serialize(StreamingSession(cfg).run_lossy());
-      checked = serialize(StreamingSession(audited).run_lossy());
-    } else {
-      plain = serialize(StreamingSession(cfg).run());
-      checked = serialize(StreamingSession(audited).run());
-    }
-    EXPECT_EQ(plain, checked) << scheme_label(cfg.scheme, cfg.clusters);
+    EXPECT_EQ(serialize(run_session(cfg)), serialize(run_session(audited)))
+        << scheme_label(cfg.scheme, cfg.clusters);
   }
 }
 
@@ -266,7 +245,7 @@ TEST(RunPipeline, DirectUseMatchesSessionAndCarriesTrace) {
 
   SessionConfig plain = cfg;
   plain.audit = false;
-  EXPECT_EQ(serialize(direct), serialize(StreamingSession(plain).run()));
+  EXPECT_EQ(serialize(direct), serialize(run_session(plain)));
   EXPECT_FALSE(trace.all().empty());
   EXPECT_EQ(trace.all().size(), direct.transmissions);
 }

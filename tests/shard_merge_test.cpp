@@ -201,10 +201,10 @@ TEST(ShardMerge, SessionPathDelegatesToShardedRunner) {
   SessionConfig config = base_config(5);
   config.audit = true;
   const std::string golden =
-      core::serialize(core::StreamingSession(config).run());
+      core::serialize(core::run_session(config).qos);
   for (const int shards : {2, 3, 8}) {
     config.shards = shards;
-    EXPECT_EQ(core::serialize(core::StreamingSession(config).run()), golden)
+    EXPECT_EQ(core::serialize(core::run_session(config).qos), golden)
         << "shards=" << shards;
   }
 }
@@ -239,7 +239,7 @@ TEST(ShardMerge, ArenaCountersSurfaceInMergedStats) {
 TEST(ShardMerge, RejectsInvalidSessionShardCount) {
   SessionConfig config = base_config(2);
   config.shards = 0;
-  EXPECT_THROW(core::StreamingSession{config}, std::invalid_argument);
+  EXPECT_THROW(core::run_session(config), std::invalid_argument);
 }
 
 }  // namespace

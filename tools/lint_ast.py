@@ -33,6 +33,10 @@ source:
   overlay-seed — a util::Prng built from a numeric literal under src/rrd/
                or src/dyntree/: overlay randomness flows from
                SessionConfig::seed.
+  session-shim — StreamingSession, run_lossy(, run_scale( or run_startup(
+               outside src/core/: core::run_session is the one session
+               entry point; the StreamingSession forwards stay only for the
+               session-mix benchmark (perfbench/, outside the lint roots).
   layer-dag  — an #include edge that climbs the module-layer DAG declared
                in tools/layers.toml: module A may include module B only if
                A == B or B's rank is strictly lower. Same-rank modules are
@@ -227,6 +231,10 @@ TEXT_RULES = [
         re.compile(r"Prng" + LITERAL),
         re.compile(r"\bprng_" + LITERAL),
     ], only=frozenset({"rrd", "dyntree"})),
+    TextRule("session-shim", [
+        re.compile(r"\bStreamingSession\b"),
+        re.compile(r"\brun_(lossy|scale|startup)\s*\("),
+    ], exempt=frozenset({"core"})),
 ]
 
 
