@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "src/metrics/buffers.hpp"
@@ -167,29 +168,26 @@ QosReport RunPipeline::aggregate(const Aggregation& agg, NodeKey* incomplete,
 
 namespace {
 
-/// The per-receiver view a startup policy decides from. `replay` probes
-/// the continuity recorder at candidate start slots; the closure borrows
-/// the recorder, so the context must not outlive this call stack.
-policy::StartupContext make_startup_context(
-    const metrics::ContinuityRecorder& continuity, NodeKey node,
-    PacketId window, Slot end, Slot worst_delay, Slot fixed_start,
-    std::int64_t drops) {
+/// What every receiver's replay probe reads, built once per fold. The
+/// probes borrow it, so the startup context must not outlive it.
+struct ReplaySource {
+  const metrics::ContinuityRecorder& continuity;
+  Slot end;
+};
+
+/// The view every receiver's startup policy decides from, less the
+/// per-receiver fields (`first_arrival`, `replay`) the fold fills in.
+policy::StartupContext make_startup_context(const ReplaySource& source,
+                                            PacketId window, Slot worst_delay,
+                                            Slot fixed_start,
+                                            std::int64_t drops) {
   policy::StartupContext ctx;
   ctx.window = window;
-  ctx.horizon = end;
+  ctx.horizon = source.end;
   ctx.worst_delay = worst_delay;
   ctx.fixed_start = fixed_start;
-  const Slot first = continuity.first_arrival(node);
-  ctx.first_arrival = first == metrics::kNeverArrived ? end : first;
   ctx.drops = drops;
-  ctx.deliveries = continuity.data_deliveries();
-  ctx.replay = [&continuity, node, end](Slot start) {
-    const auto r = continuity.report(node, start, end);
-    return policy::PlaybackProbe{.stalls = r.stalls,
-                                 .stall_slots = r.stall_slots,
-                                 .undecodable = r.undecodable,
-                                 .finish_slot = r.finish_slot};
-  };
+  ctx.deliveries = source.continuity.data_deliveries();
   return ctx;
 }
 
@@ -228,10 +226,26 @@ LossSummary RunPipeline::loss_summary(const LossConfig& loss,
   fold.policy = startup.name();
   fold.earliest_start = end_;
   double start_sum = 0;
+  const ReplaySource source{*continuity, end_};
+  policy::StartupContext ctx =
+      make_startup_context(source, window_, worst_delay, loss.playback_start,
+                           engine_.stats().drops);
   for (NodeKey x = from; x <= to; ++x) {
-    const policy::StartupContext ctx =
-        make_startup_context(*continuity, x, window_, end_, worst_delay,
-                             loss.playback_start, engine_.stats().drops);
+    const Slot first = continuity->first_arrival(x);
+    ctx.first_arrival = first == metrics::kNeverArrived ? end_ : first;
+    const auto probe = [&source, x](Slot candidate) {
+      const auto r = source.continuity.report(x, candidate, source.end);
+      return policy::PlaybackProbe{.stalls = r.stalls,
+                                   .stall_slots = r.stall_slots,
+                                   .undecodable = r.undecodable,
+                                   .finish_slot = r.finish_slot};
+    };
+    // libstdc++'s std::function stores a functor of at most 16 trivially
+    // copyable bytes in place; a larger one costs a heap allocation per
+    // receiver.
+    static_assert(sizeof(probe) <= 16 &&
+                  std::is_trivially_copyable_v<decltype(probe)>);
+    ctx.replay = probe;
     const Slot start = startup.start_slot(ctx);
     const auto cr = continuity->report(x, start, end_);
     fold.max_start = std::max(fold.max_start, start);

@@ -416,6 +416,36 @@ TEST(Replay, EligibilityGates) {
   EXPECT_FALSE(replay_eligible(disabled));
 }
 
+/// The pumped and replayed runs of `cfg` agree on the serialized report
+/// and on both scale quantile summaries, field by field. Both must carry
+/// the scale section (n at or above the replay threshold).
+void expect_replay_matches_pump(const SessionConfig& cfg) {
+  SessionConfig sim_cfg = cfg;
+  sim_cfg.scale.allow_replay = false;
+  const core::RunResult simulated = run_session(sim_cfg);
+  SessionConfig replay_cfg = cfg;
+  replay_cfg.audit = false;
+  const core::RunResult replayed = run_session(replay_cfg);
+
+  ASSERT_TRUE(simulated.scale);
+  ASSERT_TRUE(replayed.scale);
+  EXPECT_FALSE(simulated.scale->replayed);
+  EXPECT_TRUE(replayed.scale->replayed);
+  EXPECT_EQ(core::serialize(simulated.qos), core::serialize(replayed.qos));
+  const auto expect_equal = [](const scale::QuantileSummary& a,
+                               const scale::QuantileSummary& b) {
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.max, b.max);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+  };
+  expect_equal(simulated.scale->delay, replayed.scale->delay);
+  expect_equal(simulated.scale->buffer, replayed.scale->buffer);
+}
+
 TEST(Replay, SummaryMatchesSimulatedSummary) {
   // The replay feeds the sketches per receiver 1..n — the same values in
   // the same order as pipeline aggregation — so the summaries agree
@@ -423,31 +453,18 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
   for (const NodeKey n : {40, 121}) {
     SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = n, .d = 3};
     cfg.scale.replay_threshold = 1;  // both runs carry the scale section
-    SessionConfig sim_cfg = cfg;
-    sim_cfg.scale.allow_replay = false;
-    const core::RunResult simulated = run_session(sim_cfg);
-    SessionConfig replay_cfg = cfg;
-    replay_cfg.audit = false;
-    const core::RunResult replayed = run_session(replay_cfg);
-
-    ASSERT_TRUE(simulated.scale);
-    ASSERT_TRUE(replayed.scale);
-    EXPECT_FALSE(simulated.scale->replayed);
-    EXPECT_TRUE(replayed.scale->replayed);
-    EXPECT_EQ(core::serialize(simulated.qos), core::serialize(replayed.qos));
-    const auto expect_equal = [](const scale::QuantileSummary& a,
-                                 const scale::QuantileSummary& b) {
-      EXPECT_EQ(a.count, b.count);
-      EXPECT_EQ(a.min, b.min);
-      EXPECT_EQ(a.max, b.max);
-      EXPECT_EQ(a.mean, b.mean);
-      EXPECT_EQ(a.p50, b.p50);
-      EXPECT_EQ(a.p95, b.p95);
-      EXPECT_EQ(a.p99, b.p99);
-    };
-    expect_equal(simulated.scale->delay, replayed.scale->delay);
-    expect_equal(simulated.scale->buffer, replayed.scale->buffer);
+    expect_replay_matches_pump(cfg);
   }
+}
+
+TEST(Replay, MatchesPumpAtOneHundredThousandReceivers) {
+  // The largest size the per-slot pump checks: structured, d = 3,
+  // pre-recorded, above the default replay threshold. The pump runs
+  // unaudited like the replay; audited, it would take about 26x as long.
+  SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = 100'000,
+                    .d = 3};
+  cfg.audit = false;
+  expect_replay_matches_pump(cfg);
 }
 
 TEST(Replay, ThresholdRoutesAutomatically) {
