@@ -27,9 +27,9 @@ int main() {
 
   const double stationary = 0.05;
   const double bursts[] = {1.0, 2.0, 4.0, 8.0};
-  const loss::RecoveryMode modes[] = {loss::RecoveryMode::kNone,
-                                      loss::RecoveryMode::kNack,
-                                      loss::RecoveryMode::kFec};
+  const policy::RecoveryMode modes[] = {policy::RecoveryMode::kNone,
+                                        policy::RecoveryMode::kNack,
+                                        policy::RecoveryMode::kFec};
 
   util::Table table({"burst len", "mode", "drops", "retrans", "parity",
                      "fec decodes", "overhead", "stalls", "stall slots",
@@ -49,7 +49,7 @@ int main() {
     // pi_bad = p_enter / (p_enter + p_recover) then fixes p_enter.
     const double p_recover = 1.0 / burst;
     const double p_enter = stationary * p_recover / (1.0 - stationary);
-    for (const loss::RecoveryMode mode : modes) {
+    for (const policy::RecoveryMode mode : modes) {
       core::SessionConfig cfg = base;
       cfg.loss.model = loss::ErasureKind::kGilbertElliott;
       cfg.loss.ge = {.p_enter = p_enter,
@@ -61,16 +61,16 @@ int main() {
       cfg.loss.fec_window = 8;
       cfg.loss.playback_start = plain.worst_delay;
       // Without repair the drain can never finish; don't wait for it.
-      if (mode == loss::RecoveryMode::kNone) cfg.loss.max_drain = 64;
+      if (mode == policy::RecoveryMode::kNone) cfg.loss.max_drain = 64;
       const core::RunResult r = core::run_session(cfg);
 
-      if (mode == loss::RecoveryMode::kNack && !r.loss->all_gap_free) {
+      if (mode == policy::RecoveryMode::kNack && !r.loss->all_gap_free) {
         std::cerr << "FAIL: nack at burst length " << burst
                   << " left a receiver with a gap in its prefix\n";
         ok = false;
       }
 
-      const char* mode_name = loss::recovery_mode_name(mode);
+      const char* mode_name = policy::recovery_mode_name(mode);
       table.add_row(
           {util::cell(burst, 0), mode_name, util::cell(r.loss->drops),
            util::cell(r.loss->retransmissions),

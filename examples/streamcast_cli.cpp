@@ -1,10 +1,10 @@
 // streamcast_cli — run any configuration from the command line.
 //
-//   $ ./examples/streamcast_cli --scheme multitree --n 500 --d 3
+//   $ ./examples/streamcast_cli --scheme multi-tree/greedy --n 500 --d 3
 //   $ ./examples/streamcast_cli --scheme hypercube --n 500
-//   $ ./examples/streamcast_cli --scheme multitree --n 40 --d 2
+//   $ ./examples/streamcast_cli --scheme multi-tree/greedy --n 40 --d 2
 //         --clusters 9 --D 3 --tc 20
-//   $ ./examples/streamcast_cli --scheme multitree --n 200 --d 2
+//   $ ./examples/streamcast_cli --scheme multi-tree/greedy --n 200 --d 2
 //         --mode pipelined --window 100 --csv
 //
 // Prints the QoS report (and optionally a per-node CSV of delays) — the
@@ -24,16 +24,17 @@ namespace {
 using namespace streamcast;
 
 void usage() {
+  std::cerr << "usage: streamcast_cli [options]\n"
+               "  --scheme S    scheme registry name (default "
+               "multi-tree/greedy):\n";
+  for (const scheme::Descriptor& desc : scheme::all()) {
+    std::cerr << "                  " << desc.name << '\n';
+  }
   std::cerr <<
-      "usage: streamcast_cli [options]\n"
-      "  --scheme S    a canonical registry name (multi-tree/greedy,\n"
-      "                multi-tree/structured, hypercube, hypercube/grouped,\n"
-      "                chain, single-tree) or a legacy alias (multitree,\n"
-      "                structured, grouped, singletree)\n"
-      "                                              (default multitree)\n"
       "  --n N         receivers (per cluster)       (default 200)\n"
       "  --d D         degree / source capacity      (default 2)\n"
       "  --mode M      prerecorded | prebuffered | pipelined\n"
+      "                (single cluster only)\n"
       "  --clusters K  super-tree over K clusters    (default 1)\n"
       "  --D x         backbone degree, K > 1 only   (default 3)\n"
       "  --tc T        inter-cluster latency T_c     (default 10)\n"
@@ -49,13 +50,6 @@ int main(int argc, char** argv) {
                           .d = 2};
   bool csv = false;
 
-  // Legacy short aliases; anything else goes through core::parse_scheme,
-  // so every canonical registry name works directly.
-  const std::map<std::string, core::Scheme> aliases{
-      {"multitree", core::Scheme::kMultiTreeGreedy},
-      {"structured", core::Scheme::kMultiTreeStructured},
-      {"grouped", core::Scheme::kHypercubeGrouped},
-      {"singletree", core::Scheme::kSingleTree}};
   const std::map<std::string, multitree::StreamMode> modes{
       {"prerecorded", multitree::StreamMode::kPreRecorded},
       {"prebuffered", multitree::StreamMode::kLivePrebuffered},
@@ -71,17 +65,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scheme") {
-      const std::string name = value();
-      const auto it = aliases.find(name);
-      if (it != aliases.end()) {
-        cfg.scheme = it->second;
-      } else {
-        try {
-          cfg.scheme = core::parse_scheme(name);
-        } catch (const std::invalid_argument&) {
-          usage();
-          return 1;
-        }
+      try {
+        cfg.scheme = core::parse_scheme(value());
+      } catch (const std::invalid_argument&) {
+        usage();
+        return 1;
       }
     } else if (arg == "--n") {
       cfg.n = std::atoi(value());

@@ -40,7 +40,7 @@ InvariantAuditor::InvariantAuditor(const net::Topology& topology,
 }
 
 void InvariantAuditor::record(Violation v) {
-  if (report_.violations.size() < options_.max_violations) {
+  if (report_.violations.size() < kMaxViolations) {
     report_.violations.push_back(std::move(v));
   } else {
     ++report_.suppressed;
@@ -152,8 +152,7 @@ void InvariantAuditor::on_delivery(const sim::Delivery& d) {
             .detail = link_detail(tx)});
   }
 
-  if (!delivered_.insert(delivery_key(tx.to, tx.packet)).second &&
-      options_.check_duplicates) {
+  if (!delivered_.insert(delivery_key(tx.to, tx.packet)).second) {
     record({.kind = ViolationKind::kDuplicateDelivery,
             .slot = d.received,
             .node = tx.to,

@@ -45,6 +45,10 @@
 
 namespace streamcast::audit {
 
+/// Violations an AuditReport stores verbatim; the rest are counted as
+/// `suppressed`.
+inline constexpr std::size_t kMaxViolations = 64;
+
 struct AuditOptions {
   /// Packets [0, window) measured for prefix/delay/buffer checks. 0 turns
   /// the window accounting off (capacity checks still run).
@@ -62,17 +66,12 @@ struct AuditOptions {
   /// reliable bound is covered by a(i) itself. Off (reliable runs), the
   /// paper's bound is checked exactly.
   bool gap_backlog_slack = false;
-  /// Report duplicate deliveries. Churn runs relax this the same way they
-  /// relax EngineOptions::forbid_duplicates.
-  bool check_duplicates = true;
   /// Require every audited node to complete the window by finalize().
   /// Reliable schemes must; lossy runs may time out legitimately.
   bool require_complete = false;
   /// Nodes whose window/delay/buffer to audit. Empty = every node except
   /// key 0 (the source). Capacity checks always cover all nodes.
   std::vector<NodeKey> audited_nodes{};
-  /// Violations stored verbatim; the rest are counted as `suppressed`.
-  std::size_t max_violations = 64;
 };
 
 class InvariantAuditor final : public sim::DeliveryObserver {

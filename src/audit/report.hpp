@@ -73,7 +73,7 @@ struct AuditReport {
   std::int64_t slots_audited = 0;
   std::int64_t deliveries_audited = 0;
   std::int64_t drops_audited = 0;
-  /// Violations beyond AuditOptions::max_violations, counted but not stored.
+  /// Violations beyond kMaxViolations, counted but not stored.
   std::int64_t suppressed = 0;
   std::vector<Violation> violations;
 

@@ -54,7 +54,7 @@ struct LossConfig {
   /// Seed for the erasure PRNG; runs reproduce bit-for-bit.
   std::uint64_t seed = 0x5eed;
   /// How gaps are repaired (see loss::RecoveryProtocol).
-  loss::RecoveryMode recovery = loss::RecoveryMode::kNack;
+  policy::RecoveryMode recovery = policy::RecoveryMode::kNack;
   /// Recovery policy registry entry (policy::recovery_policies()): "none",
   /// "nack", "xor-parity", or "streaming-code". Empty routes through the
   /// legacy `recovery` enum above.
@@ -62,7 +62,8 @@ struct LossConfig {
   /// Badr–Lui–Khisti streaming-code parameters (recovery_policy ==
   /// "streaming-code"): decode delay T and correctable burst B.
   policy::StreamingCodeOptions code{};
-  /// Data packets per XOR parity packet (recovery == kFec).
+  /// Data packets per XOR parity packet (xor-parity, selected by name or
+  /// by recovery == kFec).
   int fec_window = 8;
   /// Capacity headroom for repair traffic on top of the paper's exactly-
   /// provisioned links (net::ProvisionedTopology). Unused at loss rate 0.
@@ -91,8 +92,9 @@ struct SessionConfig {
   NodeKey n = 0;
   /// Source capacity / tree degree / group count, per scheme.
   int d = 2;
-  /// Stream mode (multi-tree schemes only; hypercube and baselines stream
-  /// pre-recorded data).
+  /// Stream mode (single-cluster multi-tree schemes only; hypercube and
+  /// baselines stream pre-recorded data, and validate() rejects a live mode
+  /// with clusters > 1).
   multitree::StreamMode mode = multitree::StreamMode::kPreRecorded;
   /// Packets measured. 0 = pick automatically (enough for steady state).
   PacketId window = 0;
@@ -125,9 +127,9 @@ struct SessionConfig {
   /// pipeline.
   policy::StartupOptions startup{};
 
-  /// Million-node scale path (DESIGN.md §11): thresholds for the streaming
-  /// recorder stack and the closed-form schedule replay, sketch accuracy,
-  /// and the memory budget every run's allocations are charged against.
+  /// Million-node scale path (DESIGN.md §11): the threshold for the
+  /// sketched summaries and the closed-form schedule replay, and the memory
+  /// budget every run's allocations are charged against.
   scale::ScaleOptions scale{};
 
   /// Run under the audit::InvariantAuditor: every slot's capacity use,

@@ -47,7 +47,6 @@ RunPipeline::RunPipeline(net::Topology& topology, sim::Protocol& protocol,
                          loss::LossModel* loss_model,
                          loss::RecoveryProtocol* recovery)
     : ledger_(util::MemoryBudget{observers.scale.budget_bytes}),
-      scale_options_(observers.scale),
       engine_(topology, protocol,
               sim::EngineOptions{.packet_window_hint = observers.window,
                                  .budget = &ledger_}),
@@ -95,8 +94,8 @@ QosReport aggregate_qos(const Aggregation& agg, const AggregateInputs& in,
   std::optional<scale::DistributionSketch> delay_sketch;
   std::optional<scale::DistributionSketch> buffer_sketch;
   if (summary != nullptr) {
-    delay_sketch.emplace(in.scale.epsilon);
-    buffer_sketch.emplace(in.scale.epsilon);
+    delay_sketch.emplace(scale::kSketchEpsilon);
+    buffer_sketch.emplace(scale::kSketchEpsilon);
   }
 
   double delay_sum = 0;
@@ -145,7 +144,7 @@ QosReport aggregate_qos(const Aggregation& agg, const AggregateInputs& in,
 
   if (summary != nullptr) {
     summary->nodes = agg.report_n;
-    summary->epsilon = in.scale.epsilon;
+    summary->epsilon = scale::kSketchEpsilon;
     summary->replayed = false;
     summary->budget_bytes = in.ledger != nullptr ? in.ledger->limit() : 0;
     summary->bytes_peak = in.ledger != nullptr ? in.ledger->peak() : 0;
@@ -161,7 +160,6 @@ QosReport RunPipeline::aggregate(const Aggregation& agg, NodeKey* incomplete,
   in.stack_of = [this](NodeKey) -> const ObserverStack& { return observers_; };
   in.stats = engine_.stats();
   in.end = end_;
-  in.scale = scale_options_;
   in.ledger = &ledger_;
   return aggregate_qos(agg, in, incomplete, summary);
 }
@@ -202,7 +200,7 @@ LossSummary RunPipeline::loss_summary(const LossConfig& loss,
     throw std::logic_error("loss_summary requires the lossy wiring");
   }
   LossSummary summary;
-  const loss::RecoveryStats& rs = recovery_->stats();
+  const policy::RecoveryStats& rs = recovery_->stats();
   summary.drops = engine_.stats().drops;
   summary.retransmissions = rs.retransmissions;
   summary.parity_transmissions = rs.parity_transmissions;

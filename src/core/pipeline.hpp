@@ -58,7 +58,8 @@ struct ObserverSpec {
   audit::AuditOptions audit_options{};
   /// Caller-owned delivery trace, attached last when non-null.
   sim::Trace* trace = nullptr;
-  /// Scale-path thresholds, sketch accuracy, and the memory budget.
+  /// The session's scale options; the run's allocations are charged
+  /// against their memory budget.
   scale::ScaleOptions scale{};
 };
 
@@ -124,7 +125,6 @@ struct AggregateInputs {
   sim::EngineStats stats{};
   /// Last slot simulated.
   Slot end = 0;
-  scale::ScaleOptions scale{};
   /// Memory accounting for ScaleSummary; may be null when no summary is
   /// requested.
   const util::BudgetLedger* ledger = nullptr;
@@ -190,7 +190,6 @@ class RunPipeline {
   /// Declared first: the engine and the observers charge it, so it must
   /// outlive both.
   util::BudgetLedger ledger_;
-  scale::ScaleOptions scale_options_;
   sim::Engine engine_;
   ObserverStack observers_;
   loss::RecoveryProtocol* recovery_;

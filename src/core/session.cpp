@@ -31,6 +31,11 @@ void validate(const SessionConfig& config) {
     if (config.loss.model != loss::ErasureKind::kNone) {
       throw std::invalid_argument("lossy links require clusters == 1");
     }
+    if (config.mode != multitree::StreamMode::kPreRecorded) {
+      throw std::invalid_argument(
+          "multi-cluster sessions stream pre-recorded data; live modes "
+          "require clusters == 1");
+    }
   }
   if (config.loss.fec_window < 1) throw std::invalid_argument("fec_window < 1");
   if (config.loss.extra_send < 0 || config.loss.extra_recv < 0) {
@@ -195,11 +200,8 @@ bool replay_eligible(const SessionConfig& config) {
 RunResult run_session(const SessionConfig& config) {
   validate(config);
   if (config.clusters > 1) {
-    // The session always streams pre-recorded data across clusters.
-    ShardOptions opts;
-    opts.shards = config.shards;
     RunResult result;
-    result.qos = run_multicluster_sharded(config, opts);
+    result.qos = run_multicluster_sharded(config, {.shards = config.shards});
     return result;
   }
   const bool at_scale = config.loss.model == loss::ErasureKind::kNone &&

@@ -5,11 +5,12 @@
 #include <barrier>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <vector>
 
+#include "src/core/pipeline.hpp"
 #include "src/multitree/analysis.hpp"
 #include "src/scheme/registry.hpp"
 #include "src/supertree/protocol.hpp"
@@ -61,74 +62,45 @@ std::vector<NodeKey> owned_receivers(const net::ClusteredTopology& topo,
 }
 
 /// The shard's ObserverSpec: the base spec with the audit scope narrowed to
-/// the shard's own receivers (their arrivals are wholly in-shard, so each
-/// shard's auditor sees the complete evidence for its verdict).
+/// the receivers of clusters [lo, hi) (their arrivals are wholly in-shard,
+/// so each shard's auditor sees the complete evidence for its verdict).
 ObserverSpec shard_spec(const ObserverSpec& base,
-                        std::vector<NodeKey> receivers, sim::Trace* trace) {
+                        const net::ClusteredTopology& topo, int lo, int hi) {
   ObserverSpec spec = base;
-  spec.trace = trace;
-  if (spec.audit) spec.audit_options.audited_nodes = std::move(receivers);
+  if (spec.audit) {
+    spec.audit_options.audited_nodes = owned_receivers(topo, lo, hi);
+  }
   return spec;
 }
 
 /// Everything one shard owns. Construction order matters: the ledger backs
-/// the engine and the stack; the router and trace must outlive the engine.
+/// the engine and the stack; the router must outlive the engine.
 struct Shard {
-  int lo;
-  int hi;
   util::BudgetLedger ledger;
   supertree::SuperTreeProtocol protocol;
   Mailbox router;
-  std::unique_ptr<sim::ErasureOracle> loss;
-  std::vector<NodeKey> receivers;
-  sim::Trace trace;
   sim::Engine engine;
   ObserverStack stack;
 
   Shard(const net::ClusteredTopology& topo, supertree::IntraScheme intra,
-        const ShardOptions& opts, const ObserverSpec& base, int index,
-        int lo_in, int hi_in)
-      : lo(lo_in),
-        hi(hi_in),
-        ledger(util::MemoryBudget{base.scale.budget_bytes}),
-        protocol(topo, intra, opts.mode, {lo_in, hi_in}),
-        router(topo, lo_in, hi_in),
-        loss(opts.make_loss ? opts.make_loss(index) : nullptr),
-        receivers(owned_receivers(topo, lo_in, hi_in)),
+        const ObserverSpec& base, int lo, int hi)
+      : ledger(util::MemoryBudget{base.scale.budget_bytes}),
+        protocol(topo, intra, {lo, hi}),
+        router(topo, lo, hi),
         engine(topo, protocol,
                sim::EngineOptions{.packet_window_hint = base.window,
                                   .budget = &ledger,
                                   .router = &router}),
-        stack(topo, shard_spec(base, receivers,
-                               opts.trace != nullptr ? &trace : nullptr),
-              &ledger) {
-    if (loss != nullptr) engine.set_loss_model(loss.get());
+        stack(topo, shard_spec(base, topo, lo, hi), &ledger) {
     stack.attach(engine, nullptr);
   }
 };
-
-/// Canonical delivery order for the merged trace: the within-slot bucket
-/// order of the serial pump is an emission-order artifact no other output
-/// observes, so the merge (and the shards == 1 run, for parity) sorts by
-/// every schedule-determined field instead.
-bool canonical_less(const sim::Delivery& a, const sim::Delivery& b) {
-  return std::tuple(a.received, a.sent, a.tx.from, a.tx.to, a.tx.packet,
-                    a.tx.tag) < std::tuple(b.received, b.sent, b.tx.from,
-                                           b.tx.to, b.tx.packet, b.tx.tag);
-}
-
-bool canonical_drop_less(const sim::Drop& a, const sim::Drop& b) {
-  return std::tuple(a.sent, a.would_arrive, a.tx.from, a.tx.to, a.tx.packet,
-                    a.tx.tag) < std::tuple(b.sent, b.would_arrive, b.tx.from,
-                                           b.tx.to, b.tx.packet, b.tx.tag);
-}
 
 }  // namespace
 
 QosReport run_multicluster_sharded(const SessionConfig& config,
                                    const ShardOptions& opts,
-                                   ShardMetrics* metrics,
-                                   NodeKey* incomplete) {
+                                   ShardMetrics* metrics) {
   const scheme::Descriptor& desc = scheme::descriptor(config.scheme);
   if (!desc.caps.multicluster) {
     throw std::invalid_argument(
@@ -163,7 +135,7 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
     audit_opts.window = window;
     audit_opts.delay_bound = bound;
     audit_opts.buffer_bound = bound;
-    audit_opts.require_complete = !opts.skip_incomplete;
+    audit_opts.require_complete = true;
     base.audit_options = std::move(audit_opts);
   }
   base.scale = config.scale;
@@ -179,8 +151,7 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
         (static_cast<long long>(s) * clusters) / shard_count);
     const int hi = static_cast<int>(
         (static_cast<long long>(s + 1) * clusters) / shard_count);
-    shards.push_back(
-        std::make_unique<Shard>(topo, desc.intra, opts, base, s, lo, hi));
+    shards.push_back(std::make_unique<Shard>(topo, desc.intra, base, lo, hi));
     for (int c = lo; c < hi; ++c) {
       owner_of_cluster[static_cast<std::size_t>(c)] = s;
     }
@@ -267,8 +238,6 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
     merged.seen_relayouts += st.seen_relayouts;
   }
 
-  std::vector<NodeKey> receivers = owned_receivers(topo, 0, clusters);
-
   AggregateInputs in;
   in.stack_of = [&](NodeKey key) -> const ObserverStack& {
     const int c = topo.cluster_of(key);
@@ -278,29 +247,12 @@ QosReport run_multicluster_sharded(const SessionConfig& config,
   };
   in.stats = merged;
   in.end = horizon;
-  in.scale = config.scale;
   QosReport report =
       aggregate_qos({.label = scheme_label(config.scheme, clusters),
                      .report_n = n * clusters,
                      .d = config.d,
-                     .receivers = std::move(receivers),
-                     .skip_incomplete = opts.skip_incomplete},
-                    in, incomplete, nullptr);
-
-  if (opts.trace != nullptr) {
-    std::vector<sim::Delivery> deliveries;
-    std::vector<sim::Drop> drops;
-    for (auto& shard : shards) {
-      deliveries.insert(deliveries.end(), shard->trace.all().begin(),
-                        shard->trace.all().end());
-      drops.insert(drops.end(), shard->trace.drops().begin(),
-                   shard->trace.drops().end());
-    }
-    std::sort(deliveries.begin(), deliveries.end(), canonical_less);
-    std::sort(drops.begin(), drops.end(), canonical_drop_less);
-    for (const sim::Delivery& d : deliveries) opts.trace->record(d);
-    for (const sim::Drop& d : drops) opts.trace->on_drop(d);
-  }
+                     .receivers = owned_receivers(topo, 0, clusters)},
+                    in);
 
   if (metrics != nullptr) {
     metrics->shards = shard_count;

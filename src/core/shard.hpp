@@ -13,25 +13,21 @@
 // (ringed before the epoch starts). A T_c-slot epoch therefore cannot
 // reorder backbone delivery; the proof sketch is in DESIGN.md §14.
 //
-// Byte-identity contract: the merged QosReport, trace, audit verdicts, and
+// Byte-identity contract: the merged QosReport, audit verdicts, and
 // engine totals at ANY shard count equal the shards == 1 run bit-for-bit.
 // Aggregation reuses core::aggregate_qos with receivers iterated in global
 // (cluster, local) order — each read from its owning shard's stack — so
 // every floating-point fold happens in the serial order; EngineStats are
-// summed in shard submission order; the delivery trace is merged in the
-// canonical (received, sent, from, to, packet, tag) order at every shard
-// count, including 1.
+// summed in shard submission order.
+//
+// The runner streams what core::run_session's validation admits across
+// clusters: pre-recorded data over reliable links, every receiver's window
+// complete.
 #pragma once
 
-#include <functional>
-#include <memory>
-
 #include "src/core/config.hpp"
-#include "src/core/pipeline.hpp"
 #include "src/core/report.hpp"
-#include "src/multitree/protocol.hpp"
-#include "src/sim/erasure.hpp"
-#include "src/sim/trace.hpp"
+#include "src/sim/engine.hpp"
 
 namespace streamcast::core {
 
@@ -48,41 +44,20 @@ struct ShardMetrics {
   sim::EngineStats stats{};
 };
 
-/// How the sharded multicluster runner executes one run. The defaults
-/// reproduce the historical serial session path exactly.
+/// How the sharded multicluster runner executes one run.
 struct ShardOptions {
   /// Worker count; clamped to [1, clusters]. 1 = the serial pump.
   int shards = 1;
-  /// Stream mode forwarded to the multi-tree intra protocols (the session
-  /// path always passes kPreRecorded; live-pipelined cells come through
-  /// here).
-  multitree::StreamMode mode = multitree::StreamMode::kPreRecorded;
-  /// Count receivers with incomplete windows instead of throwing (lossy
-  /// cells may legitimately miss packets).
-  bool skip_incomplete = false;
-  /// When non-null, receives the merged delivery trace in canonical
-  /// (received, sent, from, to, packet, tag) order — at every shard count,
-  /// including 1 (the serial bucket order is not reproducible across
-  /// shards; the canonical order is, and nothing else observes it).
-  sim::Trace* trace = nullptr;
-  /// Per-shard erasure oracle factory; null = lossless. Sharding an oracle
-  /// is sound only when its decisions are a pure per-link function (e.g.
-  /// Gilbert–Elliott forks one PRNG per directed link from the seed, so any
-  /// partition of senders reproduces the serial stream; Bernoulli draws
-  /// from one global-order PRNG and is NOT shardable). The oracle must
-  /// stay alive until the run returns — ownership is transferred here.
-  std::function<std::unique_ptr<sim::ErasureOracle>(int shard)> make_loss;
 };
 
 /// Runs one multicluster session sharded `opts.shards` ways and returns the
 /// merged QosReport. `metrics`, when given, receives per-phase wall times
-/// and merged engine totals; `incomplete`, when given, receives the number
-/// of skipped receivers (skip_incomplete runs). Throws the first worker's
-/// exception (in shard order) if any shard fails; audit runs (config.audit)
-/// throw sim::ProtocolViolation if any shard's auditor is unclean.
+/// and merged engine totals. Throws the first worker's exception (in shard
+/// order) if any shard fails, std::logic_error if a receiver's window is
+/// incomplete, and, on audit runs (config.audit), sim::ProtocolViolation if
+/// any shard's auditor is unclean.
 QosReport run_multicluster_sharded(const SessionConfig& config,
                                    const ShardOptions& opts = {},
-                                   ShardMetrics* metrics = nullptr,
-                                   NodeKey* incomplete = nullptr);
+                                   ShardMetrics* metrics = nullptr);
 
 }  // namespace streamcast::core

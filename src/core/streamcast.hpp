@@ -18,7 +18,6 @@
 #pragma once
 
 #include "src/audit/auditor.hpp"             // IWYU pragma: export
-#include "src/audit/injector.hpp"            // IWYU pragma: export
 #include "src/audit/report.hpp"              // IWYU pragma: export
 #include "src/baseline/chain.hpp"            // IWYU pragma: export
 #include "src/baseline/single_tree.hpp"      // IWYU pragma: export
@@ -49,7 +48,6 @@
 #include "src/multitree/protocol.hpp"        // IWYU pragma: export
 #include "src/multitree/resilience.hpp"      // IWYU pragma: export
 #include "src/multitree/schedule.hpp"        // IWYU pragma: export
-#include "src/multitree/serialize.hpp"       // IWYU pragma: export
 #include "src/multitree/structured.hpp"      // IWYU pragma: export
 #include "src/multitree/validate.hpp"        // IWYU pragma: export
 #include "src/net/buffer.hpp"                // IWYU pragma: export

@@ -84,19 +84,10 @@ RecoveryProtocol::RecoveryProtocol(const net::Topology& topology,
   recv_used_.assign(n, 0);
   if (options_.fec_window < 1) options_.fec_window = 1;
 
-  policy::RecoveryPolicyOptions po;
-  po.fec_window = options_.fec_window;
-  po.nack_delay = options_.nack_delay;
-  po.dense_links = options_.dense_links;
-  po.gap_timeout = options_.gap_timeout;
-  po.sweep_tag = options_.sweep_tag;
-  po.repair_horizon = options_.repair_horizon;
-  po.source = options_.source;
-  po.code = options_.code;
   const std::string name = options_.policy.empty()
                                ? policy::recovery_policy_name(options_.mode)
                                : options_.policy;
-  policy_ = policy::recovery_policy(name).make(po);
+  policy_ = policy::recovery_policy(name).make(options_);
   policy_->bind(*this);
 }
 
@@ -107,7 +98,7 @@ Slot RecoveryProtocol::link_latency(NodeKey from, NodeKey to) const {
 }
 
 bool RecoveryProtocol::holds(NodeKey node, PacketId p) const {
-  if (node == options_.source) return true;
+  if (node == policy::kStreamSource) return true;
   return receiver(node).tracker.has(p);
 }
 

@@ -58,52 +58,15 @@ using sim::PacketId;
 using sim::Slot;
 using sim::Tx;
 
-// The strategy types migrated to src/policy; these aliases keep the
-// historical loss:: spellings working for existing callers.
-using policy::RecoveryMode;
-using policy::RecoveryStats;
-using policy::recovery_mode_name;
-
-struct RecoveryOptions {
+/// The strategy's knobs (policy::RecoveryPolicyOptions, handed to the
+/// policy as they are) plus the strategy itself.
+struct RecoveryOptions : policy::RecoveryPolicyOptions {
   /// Legacy strategy selector, honored when `policy` is empty (the
   /// registry maps it via policy::recovery_policy_name).
-  RecoveryMode mode = RecoveryMode::kNack;
+  policy::RecoveryMode mode = policy::RecoveryMode::kNack;
   /// Recovery policy registry entry ("none", "nack", "xor-parity",
   /// "streaming-code"); empty selects by `mode`.
   std::string policy{};
-  /// Data packets per XOR parity packet (xor-parity).
-  int fec_window = 8;
-  /// Extra slots added to the modeled NACK round trip before a repair is
-  /// eligible to be sent.
-  Slot nack_delay = 0;
-  /// Enable sender-side skip detection for newest-only forwarders (chain,
-  /// single tree): every packet id flows over every link, so an id jump on a
-  /// link is a gap the receiver will never otherwise see. Must stay off for
-  /// schemes whose per-link id streams are strided (multi-tree) or demand-
-  /// driven (hypercube) — there an id jump is normal.
-  bool dense_links = false;
-  /// Age (in slots) after which a still-open receive gap is NACKed from the
-  /// source even though no transmission of it was ever seen failing. Needed
-  /// for demand-driven schemes (hypercube) where a packet that missed its
-  /// consumption deadline is simply never offered again; must exceed the
-  /// scheme's worst inter-arrival skew so it cannot fire on a lossless run.
-  /// -1 disables the sweep. Repairs issued here carry `sweep_tag`, so only
-  /// enable it for schemes whose deliver() tolerates that tag.
-  Slot gap_timeout = -1;
-  /// Substream tag carried by aged-gap sweep repairs (default 0, the
-  /// historical behavior). Schemes whose tags partition the stream into
-  /// substreams (dyntree trees) should pass a tag no live delivery uses,
-  /// so a pending backfill never holds live substreams back in the
-  /// in-order gate.
-  std::int32_t sweep_tag = 0;
-  /// Sweep relevance horizon: gaps whose id trails the current slot by
-  /// more than this are abandoned instead of repaired (the repair could
-  /// only land past the packet's play deadline). -1 = repair regardless.
-  Slot repair_horizon = -1;
-  /// Node that originates the stream and implicitly holds every packet.
-  NodeKey source = 0;
-  /// Badr–Lui–Khisti code parameters (streaming-code).
-  policy::StreamingCodeOptions code{};
 };
 
 /// Per-node expected-vs-delivered sequence state: the gap-free prefix
@@ -206,7 +169,7 @@ class RecoveryProtocol final : public sim::Protocol,
   /// use in flight. Always false for the legacy policies.
   bool recovery_exhausted() const { return policy_->exhausted(); }
 
-  const RecoveryStats& stats() const { return stats_; }
+  const policy::RecoveryStats& stats() const { return stats_; }
 
   const RecoveryOptions& options() const { return options_; }
 
@@ -233,7 +196,7 @@ class RecoveryProtocol final : public sim::Protocol,
   bool recv_headroom(Slot arrive, NodeKey to) const override;
   void note_planned_arrival(Slot arrive, NodeKey to) override;
   void ingest_decoded(Slot t, const Tx& tx) override;
-  RecoveryStats& stats() override { return stats_; }
+  policy::RecoveryStats& stats() override { return stats_; }
 
  private:
   /// One (receiver, tag) substream of the in-order gate: the known-lost
@@ -295,7 +258,7 @@ class RecoveryProtocol final : public sim::Protocol,
   const net::Topology& topology_;
   sim::Protocol& inner_;
   RecoveryOptions options_;
-  RecoveryStats stats_;
+  policy::RecoveryStats stats_;
   std::unique_ptr<policy::RecoveryPolicy> policy_;
 
   std::vector<Receiver> receivers_;  // lint: allow(hot-path-alloc) — per node

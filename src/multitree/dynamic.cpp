@@ -7,9 +7,8 @@
 
 namespace streamcast::multitree {
 
-DynamicMultiTreeProtocol::DynamicMultiTreeProtocol(ChurnForest& churn,
-                                                   int pipeline_depth)
-    : churn_(churn), pipeline_depth_(std::max(pipeline_depth, 1)) {
+DynamicMultiTreeProtocol::DynamicMultiTreeProtocol(ChurnForest& churn)
+    : churn_(churn) {
   const int d = churn_.d();
   src_next_.assign(static_cast<std::size_t>(d),
                    std::vector<std::int64_t>(static_cast<std::size_t>(d), 0));
@@ -66,7 +65,7 @@ void DynamicMultiTreeProtocol::rebuild_interiors(Slot now) {
         // live-edge jump otherwise (rate-matched links leave no bandwidth
         // to backfill, so a lagging child must skip ahead — the skipped
         // rounds are its hiccups).
-        const bool continuous = own - have <= pipeline_depth_;
+        const bool continuous = own - have <= kPipelineDepth;
         st.next[static_cast<std::size_t>(r)] =
             std::max(continuous ? have + 1 : own, std::int64_t{0});
       }
@@ -102,7 +101,7 @@ void DynamicMultiTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {
     if (own < 0) continue;  // nothing received yet (fresh interior id)
     const NodeKey child =
         forest.node_at(st.tree, forest.child_pos(st.pos, static_cast<int>(r)));
-    if (own - m > pipeline_depth_) {
+    if (own - m > kPipelineDepth) {
       // Stale cursor (a rebuild reset this id's state while the stream ran
       // on): live-edge jump at send time, never below what the child
       // already holds. The skipped rounds are the child's hiccups.

@@ -10,8 +10,8 @@
 // placement. After every mutation the driver calls resync(now), which
 // re-reads the forest and repairs each interior id's per-child cursors:
 //
-//   next(child r) = highest(child) + 1   if the child trails by at most the
-//                                        normal pipeline depth (continuity:
+//   next(child r) = highest(child) + 1   if the child trails by at most
+//                                        kPipelineDepth rounds (continuity:
 //                                        nothing missed, nothing repeated)
 //                 = highest(self)        otherwise (jump to the live edge:
 //                                        the gap becomes hiccups/missed
@@ -33,6 +33,7 @@
 // every missed due packet is one hiccup.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "src/multitree/churn.hpp"
@@ -46,11 +47,12 @@ using sim::Tx;
 
 class DynamicMultiTreeProtocol final : public sim::Protocol {
  public:
-  /// pipeline_depth = largest child lag (in per-tree rounds) repaired by
-  /// continuity rather than a live-edge jump. The steady-state lag is 0 or 1
-  /// round; the default 2 tolerates one transition slot on top.
-  explicit DynamicMultiTreeProtocol(ChurnForest& churn,
-                                    int pipeline_depth = 2);
+  /// Largest child lag (in per-tree rounds) repaired by continuity rather
+  /// than a live-edge jump. The steady-state lag is 0 or 1 round; 2
+  /// tolerates one transition slot on top.
+  static constexpr std::int64_t kPipelineDepth = 2;
+
+  explicit DynamicMultiTreeProtocol(ChurnForest& churn);
 
   void transmit(Slot t, std::vector<Tx>& out) override;
   void deliver(Slot t, const Tx& tx) override;
@@ -78,7 +80,6 @@ class DynamicMultiTreeProtocol final : public sim::Protocol {
   void rebuild_interiors(Slot now);
 
   ChurnForest& churn_;
-  int pipeline_depth_;
   std::vector<std::vector<std::int64_t>> highest_;  // [id][tree] -> max m
   std::vector<Interior> interiors_;
   std::vector<std::vector<std::int64_t>> src_next_;  // [tree][child slot]

@@ -30,7 +30,7 @@ Slot NackPolicy::nack_due(const RecoveryHost& host, Slot detect_slot,
                           NodeKey from, NodeKey to) const {
   // The receiver notices the gap in `detect_slot`, NACKs the sender (one
   // reverse-link trip), and the repair may leave the following slot.
-  return detect_slot + host.link_latency(to, from) + 1 + options().nack_delay;
+  return detect_slot + host.link_latency(to, from) + 1;
 }
 
 bool NackPolicy::pending(NodeKey to, PacketId p) const {
@@ -102,7 +102,7 @@ void NackPolicy::detect_dense_skips(RecoveryHost& host, Slot t, const Tx& tx) {
 void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
   const NodeKey size = host.node_count();
   for (NodeKey v = 0; v < size; ++v) {
-    if (v == options().source) continue;
+    if (v == kStreamSource) continue;
     if (host.ahead_empty(v)) continue;
     // The gaps are the missing ids below each id held ahead of the prefix,
     // visited in ascending order; `seen` is walked alongside by a cursor.
@@ -134,7 +134,7 @@ void NackPolicy::sweep_aged_gaps(RecoveryHost& host, Slot t) {
         if (t - seen[cursor].slot < options().gap_timeout) continue;
         if (host.in_flight(v, g) || pending(v, g)) continue;
         host.mark_outstanding(v, options().sweep_tag, g);
-        schedule_repair(host, v, g, options().source, options().sweep_tag, t);
+        schedule_repair(host, v, g, kStreamSource, options().sweep_tag, t);
       }
       expected = a + 1;
     }
@@ -156,7 +156,7 @@ NodeKey NackPolicy::repair_source(const RecoveryHost& host, Slot t,
   for (const NodeKey s : host.senders_seen(to)) {
     if (usable(s)) return s;
   }
-  return usable(options().source) ? options().source : sim::kNoNode;
+  return usable(kStreamSource) ? kStreamSource : sim::kNoNode;
 }
 
 // lint: allow(hot-path-alloc) — appends to the slot's output list

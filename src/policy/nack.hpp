@@ -5,9 +5,9 @@
 // Every detected gap — an engine drop report, a suppressed causal send, a
 // skipped id on a dense link, or an aged gap on a demand-driven scheme —
 // schedules a retransmission from a node that holds the packet, after the
-// reverse-link trip plus options().nack_delay, riding only on residual
-// send/receive capacity. Lost repairs are re-NACKed, so every gap
-// eventually closes (exhausted() is therefore always false).
+// reverse-link trip, riding only on residual send/receive capacity. Lost
+// repairs are re-NACKed, so every gap eventually closes (exhausted() is
+// therefore always false).
 //
 // streamcast: hot-path (lint: hot-path-alloc applies to this file)
 //

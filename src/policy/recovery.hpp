@@ -61,16 +61,28 @@ struct StreamingCodeOptions {
   PacketId burst = 4;
 };
 
-/// Strategy knobs, filled by the host from loss::RecoveryOptions.
+/// The stream source: every scheme keys it 0 (sim/packet.hpp), and it
+/// implicitly holds every packet.
+inline constexpr NodeKey kStreamSource = 0;
+
+/// Strategy knobs; loss::RecoveryOptions extends them with the strategy's
+/// name.
 struct RecoveryPolicyOptions {
   /// Data packets per XOR parity packet (xor-parity).
   int fec_window = 8;
-  /// Extra slots added to the modeled NACK round trip (nack).
-  Slot nack_delay = 0;
-  /// Sender-side skip detection for newest-only forwarders (nack).
+  /// Sender-side skip detection for newest-only forwarders (chain, single
+  /// tree): every packet id flows over every link, so an id jump on a link
+  /// is a gap the receiver will never otherwise see. Must stay off for
+  /// schemes whose per-link id streams are strided (multi-tree) or demand-
+  /// driven (hypercube) — there an id jump is normal (nack,
+  /// streaming-code).
   bool dense_links = false;
-  /// Age after which a still-open gap is NACKed from the source; -1
-  /// disables the sweep (nack).
+  /// Age (in slots) after which a still-open receive gap is NACKed from the
+  /// source even though no transmission of it was ever seen failing. Needed
+  /// for demand-driven schemes (hypercube) where a packet that missed its
+  /// consumption deadline is simply never offered again; must exceed the
+  /// scheme's worst inter-arrival skew so it cannot fire on a lossless run.
+  /// Sweep repairs carry `sweep_tag`. -1 disables the sweep (nack).
   Slot gap_timeout = -1;
   /// Substream tag carried by aged-gap sweep repairs. The default (0)
   /// gates the receiver's tag-0 substream behind the repair — the right
@@ -84,8 +96,6 @@ struct RecoveryPolicyOptions {
   /// deadline, so it would be pure congestion. -1 repairs regardless of
   /// age (the historical behavior).
   Slot repair_horizon = -1;
-  /// Node that originates the stream and implicitly holds every packet.
-  NodeKey source = 0;
   /// Streaming-code parameters (streaming-code).
   StreamingCodeOptions code{};
 };

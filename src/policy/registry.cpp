@@ -30,14 +30,12 @@ std::unique_ptr<RecoveryPolicy> make_recovery(
 
 constexpr std::array<RecoveryPolicyDescriptor, 4> kRecoveryRegistry{{
     {.name = "none", .caps = {}, .make = &make_recovery<NonePolicy>},
-    {.name = "nack",
-     .caps = {.reverse_channel = true, .closes_silent_gaps = true},
-     .make = &make_recovery<NackPolicy>},
+    {.name = "nack", .caps = {}, .make = &make_recovery<NackPolicy>},
     {.name = "xor-parity",
-     .caps = {.emits_parity = true},
+     .caps = {},
      .make = &make_recovery<XorParityPolicy>},
     {.name = "streaming-code",
-     .caps = {.emits_parity = true, .bounded_recovery = true},
+     .caps = {.bounded_recovery = true},
      .make = &make_recovery<StreamingCodePolicy>},
 }};
 
@@ -45,40 +43,36 @@ constexpr std::array<RecoveryPolicyDescriptor, 4> kRecoveryRegistry{{
 /// playback delay.
 class FixedStartup final : public StartupPolicy {
  public:
-  using StartupPolicy::StartupPolicy;
   const char* name() const override { return "fixed"; }
   Slot start_slot(const StartupContext& ctx) const override {
     return fixed_slot(ctx);
   }
 };
 
-/// Start a small prebuffer after the receiver's first arrival, doubling it
-/// until the replay meets the stall budget; capped at the fixed slot (a
+/// Start a one-slot prebuffer after the receiver's first arrival, doubling
+/// it until the replay runs without a stall; capped at the fixed slot (a
 /// replay from the fixed slot is the historical behavior, so the ramp can
 /// only start earlier, never later).
 class ProgressiveRampStartup final : public StartupPolicy {
  public:
-  using StartupPolicy::StartupPolicy;
   const char* name() const override { return "progressive-ramp"; }
   Slot start_slot(const StartupContext& ctx) const override {
     const Slot cap = fixed_slot(ctx);
-    Slot wait = std::max<Slot>(options().ramp_initial, 1);
+    Slot wait = 1;
     while (true) {
       const Slot candidate = std::min<Slot>(ctx.first_arrival + wait, cap);
       if (candidate >= cap) return cap;
-      if (ctx.replay(candidate).stalls <= options().ramp_stall_budget) {
-        return candidate;
-      }
+      if (ctx.replay(candidate).stalls == 0) return candidate;
       wait *= 2;
     }
   }
 };
 
 /// Prebuffer proportional to the observed loss fraction: a clean channel
-/// starts almost immediately, a lossy one waits for repair headroom.
+/// starts one slot after the first arrival, a lossy one waits for repair
+/// headroom, twice the window's expected losses.
 class LossAdaptiveStartup final : public StartupPolicy {
  public:
-  using StartupPolicy::StartupPolicy;
   const char* name() const override { return "loss-adaptive"; }
   Slot start_slot(const StartupContext& ctx) const override {
     const Slot cap = fixed_slot(ctx);
@@ -87,16 +81,15 @@ class LossAdaptiveStartup final : public StartupPolicy {
     const double fraction =
         total > 0 ? static_cast<double>(ctx.drops) / total : 0.0;
     const Slot prebuffer =
-        options().adapt_min +
-        static_cast<Slot>(std::ceil(options().adapt_safety * fraction *
-                                    static_cast<double>(ctx.window)));
+        1 + static_cast<Slot>(std::ceil(2.0 * fraction *
+                                        static_cast<double>(ctx.window)));
     return std::min<Slot>(ctx.first_arrival + prebuffer, cap);
   }
 };
 
 template <typename P>
-std::unique_ptr<StartupPolicy> make_startup(const StartupOptions& options) {
-  return std::make_unique<P>(options);
+std::unique_ptr<StartupPolicy> make_startup(const StartupOptions&) {
+  return std::make_unique<P>();
 }
 
 constexpr std::array<StartupPolicyDescriptor, 3> kStartupRegistry{{

@@ -15,21 +15,14 @@
 
 namespace streamcast::policy {
 
-/// What a recovery strategy needs / guarantees. The session validates the
+/// What a recovery strategy guarantees. The session validates the
 /// scheme x policy combination against these flags.
 struct RecoveryPolicyCaps {
-  /// Uses receiver->sender feedback (NACKs); needs reverse-link latency.
-  bool reverse_channel = false;
-  /// Emits control-id parity traffic on residual capacity.
-  bool emits_parity = false;
   /// Recovery is delay-bounded: a gap's fate (decoded or abandoned) is
   /// decided within a fixed number of channel uses, so the drain loop may
   /// stop once the policy reports exhausted(). Incompatible with
   /// demand-driven schemes, whose silent gaps only a feedback sweep finds.
   bool bounded_recovery = false;
-  /// Closes gaps that produce no failed transmission (the aged-gap sweep);
-  /// required by demand-driven schemes.
-  bool closes_silent_gaps = false;
 };
 
 struct RecoveryPolicyDescriptor {

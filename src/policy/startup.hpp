@@ -10,11 +10,11 @@
 //   fixed             the historical behavior: the configured slot, else
 //                     the run's worst playback delay. Byte-identical to
 //                     the pre-policy pipeline (golden-pinned).
-//   progressive-ramp  start a small prebuffer after the receiver's first
-//                     arrival and double it until a replay meets the
-//                     stall budget; never later than `fixed`.
+//   progressive-ramp  start a one-slot prebuffer after the receiver's
+//                     first arrival and double it until a replay runs
+//                     without a stall; never later than `fixed`.
 //   loss-adaptive     prebuffer proportional to the observed loss
-//                     fraction (adapt_min + safety * loss * window);
+//                     fraction (1 + ceil(2 * loss * window) slots);
 //                     never later than `fixed`.
 //
 // Policies are pure functions of the per-receiver StartupContext, so the
@@ -38,14 +38,6 @@ using sim::Slot;
 struct StartupOptions {
   /// Registry entry: "fixed", "progressive-ramp", or "loss-adaptive".
   std::string policy = "fixed";
-  /// progressive-ramp: initial prebuffer (slots after the first arrival)
-  /// and the stall budget a candidate start must meet.
-  Slot ramp_initial = 1;
-  int ramp_stall_budget = 0;
-  /// loss-adaptive: prebuffer = adapt_min + ceil(safety * loss_fraction *
-  /// window) slots after the first arrival.
-  double adapt_safety = 2.0;
-  Slot adapt_min = 1;
 };
 
 /// Outcome of replaying playback from one candidate start slot.
@@ -77,7 +69,6 @@ struct StartupContext {
 
 class StartupPolicy {
  public:
-  explicit StartupPolicy(const StartupOptions& options) : options_(options) {}
   virtual ~StartupPolicy() = default;
 
   virtual const char* name() const = 0;
@@ -92,11 +83,6 @@ class StartupPolicy {
   static Slot fixed_slot(const StartupContext& ctx) {
     return ctx.fixed_start >= 0 ? ctx.fixed_start : ctx.worst_delay;
   }
-
-  const StartupOptions& options() const { return options_; }
-
- private:
-  StartupOptions options_;
 };
 
 }  // namespace streamcast::policy

@@ -10,6 +10,10 @@ namespace streamcast::scale {
 
 using sim::NodeKey;
 
+/// Rank-error bound of the summaries' quantile sketches, as a fraction of
+/// N (reported as ScaleSummary::epsilon).
+inline constexpr double kSketchEpsilon = 0.005;
+
 struct ScaleOptions {
   /// Node-count threshold at/above which an eligible session (structured
   /// multi-tree, lossless, kPreRecorded/kLivePrebuffered, no audit) skips
@@ -21,8 +25,6 @@ struct ScaleOptions {
   NodeKey replay_threshold = 50'000;
   /// Master switch for the closed-form replay shortcut.
   bool allow_replay = true;
-  /// Rank-error bound of the quantile sketches, as a fraction of N.
-  double epsilon = 0.005;
   /// Ceiling for per-node state allocations; exceeded => BudgetExceeded
   /// (fail fast, never OOM).
   std::size_t budget_bytes = std::size_t{1} << 31;  // 2 GiB

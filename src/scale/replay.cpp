@@ -82,12 +82,12 @@ ReplayReport replay_structured(const ReplayConfig& config,
   report.horizon = horizon;
   report.transmissions = transmissions;
   report.summary.nodes = n;
-  report.summary.epsilon = options.epsilon;
+  report.summary.epsilon = kSketchEpsilon;
   report.summary.replayed = true;
   report.summary.budget_bytes = options.budget_bytes;
 
-  DistributionSketch delay_sketch(options.epsilon, &ledger);
-  DistributionSketch buffer_sketch(options.epsilon, &ledger);
+  DistributionSketch delay_sketch(kSketchEpsilon, &ledger);
+  DistributionSketch buffer_sketch(kSketchEpsilon, &ledger);
 
   double delay_sum = 0;
   double buffer_sum = 0;

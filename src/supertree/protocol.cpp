@@ -8,7 +8,6 @@ namespace streamcast::supertree {
 
 SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
                                      IntraScheme scheme,
-                                     multitree::StreamMode mode,
                                      ClusterRange range)
     : topology_(topology),
       backbone_(build_backbone(topology.clusters(), topology.big_d())),
@@ -32,7 +31,7 @@ SuperTreeProtocol::SuperTreeProtocol(const net::ClusteredTopology& topology,
       slot.forest = std::make_unique<multitree::Forest>(
           multitree::build_greedy(n, topology.small_d()));
       slot.intra = std::make_unique<multitree::MultiTreeProtocol>(
-          *slot.forest, mode,
+          *slot.forest, multitree::StreamMode::kPreRecorded,
           // S'_i may relay packet p in slot t once the backbone delivered
           // it in some earlier slot. `this` and clusters_ outlive intra.
           [this, index](PacketId p, Slot) {

@@ -48,14 +48,11 @@ class SuperTreeProtocol final : public sim::Protocol {
  public:
   /// The topology fixes K, D, d, T_c and the per-cluster sizes; multi-tree
   /// forests are built with the greedy construction, hypercube clusters
-  /// with the single-chain decomposition. `mode` is forwarded to the
-  /// multi-tree intra protocols (kLivePipelined gates injections on packet
-  /// availability at the global clock; hypercube clusters ignore it).
-  explicit SuperTreeProtocol(
-      const net::ClusteredTopology& topology,
-      IntraScheme scheme = IntraScheme::kMultiTree,
-      multitree::StreamMode mode = multitree::StreamMode::kPreRecorded,
-      ClusterRange range = {});
+  /// with the single-chain decomposition. Every cluster streams
+  /// pre-recorded data (§2.1).
+  explicit SuperTreeProtocol(const net::ClusteredTopology& topology,
+                             IntraScheme scheme = IntraScheme::kMultiTree,
+                             ClusterRange range = {});
 
   void transmit(Slot t, std::vector<Tx>& out) override;
   void deliver(Slot t, const Tx& tx) override;

@@ -175,7 +175,7 @@ TEST(AuditGrid, LossyRecoveryRunsStayWithinProvisionedInvariants) {
                     .audit = true};
   fec.loss.model = loss::ErasureKind::kBernoulli;
   fec.loss.rate = 0.05;
-  fec.loss.recovery = loss::RecoveryMode::kFec;
+  fec.loss.recovery = policy::RecoveryMode::kFec;
   tasks.push_back(fec);
 
   const auto results = sweep_clean(tasks);

@@ -4,15 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "src/audit/auditor.hpp"
-#include "src/audit/injector.hpp"
 #include "src/baseline/chain.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/engine.hpp"
+#include "tests/support/injector.hpp"
 
 namespace streamcast {
 namespace {
 
-using audit::AuditOptions;
 using audit::AuditReport;
 using audit::InvariantAuditor;
 using audit::ViolationKind;
@@ -108,19 +107,10 @@ TEST(Auditor, LatencyPacingViolationDetected) {
 
 TEST(Auditor, DuplicateDeliveryDetectedAndRelaxable) {
   net::UniformCluster topo(3, 2);
-  {
-    InvariantAuditor auditor(topo);
-    auditor.on_delivery(make_delivery(0, 1, 0, 0, 0));
-    auditor.on_delivery(make_delivery(2, 1, 0, 3, 3));
-    EXPECT_TRUE(
-        has_kind(auditor.finalize(), ViolationKind::kDuplicateDelivery));
-  }
-  {
-    InvariantAuditor auditor(topo, {.check_duplicates = false});
-    auditor.on_delivery(make_delivery(0, 1, 0, 0, 0));
-    auditor.on_delivery(make_delivery(2, 1, 0, 3, 3));
-    EXPECT_TRUE(auditor.finalize().ok());
-  }
+  InvariantAuditor auditor(topo);
+  auditor.on_delivery(make_delivery(0, 1, 0, 0, 0));
+  auditor.on_delivery(make_delivery(2, 1, 0, 3, 3));
+  EXPECT_TRUE(has_kind(auditor.finalize(), ViolationKind::kDuplicateDelivery));
 }
 
 TEST(Auditor, ScheduleCollisionOnOneLinkDetected) {
@@ -195,16 +185,15 @@ TEST(Auditor, IncompleteWindowReportedOnlyWhenRequired) {
 
 TEST(Auditor, ViolationCapSuppressesButCounts) {
   net::UniformCluster topo(3, 2);
-  AuditOptions opts;
-  opts.max_violations = 2;
-  InvariantAuditor auditor(topo, opts);
-  for (int i = 0; i < 5; ++i) {  // five duplicate deliveries
+  InvariantAuditor auditor(topo);
+  const int deliveries = static_cast<int>(audit::kMaxViolations) + 3;
+  for (int i = 0; i < deliveries; ++i) {  // all but the first duplicates
     auditor.on_delivery(make_delivery(0, 1, 0, i, i));
   }
   const AuditReport& r = auditor.finalize();
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.violations.size(), 2u);
-  EXPECT_EQ(r.suppressed, 2);  // 4 duplicates total, 2 stored
+  EXPECT_EQ(r.violations.size(), audit::kMaxViolations);
+  EXPECT_EQ(r.suppressed, 2);
 }
 
 TEST(Auditor, ReportTextNamesKindSlotAndNode) {

@@ -152,6 +152,26 @@ TEST(Session, MultiClusterRejectsBaselines) {
                std::invalid_argument);
 }
 
+TEST(Session, MultiClusterRejectsLiveModes) {
+  // The super-tree runner streams pre-recorded data; a live mode across
+  // clusters is rejected instead of silently run as pre-recorded. One
+  // cluster still honors it.
+  SessionConfig cfg{.scheme = Scheme::kMultiTreeGreedy,
+                    .n = 40,
+                    .d = 2,
+                    .clusters = 4,
+                    .t_c = 6};
+  EXPECT_NO_THROW(validate(cfg));
+  for (const auto mode : {multitree::StreamMode::kLivePrebuffered,
+                          multitree::StreamMode::kLivePipelined}) {
+    cfg.mode = mode;
+    cfg.clusters = 4;
+    EXPECT_THROW(run_session(cfg), std::invalid_argument);
+    cfg.clusters = 1;
+    EXPECT_NO_THROW(validate(cfg));
+  }
+}
+
 TEST(Session, SectionsFollowTheRouteForEveryScheme) {
   // RunResult's section rule, scheme by scheme: loss and startup exactly on
   // lossy runs, scale on reliable single-cluster runs at or above the

@@ -25,7 +25,7 @@ QosReport lossy(const SessionConfig& cfg) {
 }
 
 QosReport scale(const SessionConfig& cfg) {
-  const Session session{cfg};
+  const Session session{cfg};  // expect: session-shim
   return session.run_scale();  // expect: session-shim
 }
 

@@ -22,10 +22,10 @@
 namespace streamcast {
 namespace {
 
-using loss::RecoveryMode;
 using loss::RecoveryOptions;
 using loss::RecoveryProtocol;
 using loss::SequenceTracker;
+using policy::RecoveryMode;
 using sim::Delivery;
 using sim::NodeKey;
 using sim::PacketId;
@@ -34,6 +34,22 @@ using sim::Tx;
 
 Tx tx(NodeKey from, NodeKey to, PacketId p) {
   return Tx{.from = from, .to = to, .packet = p, .tag = 0};
+}
+
+/// Recovery through the legacy mode selector.
+RecoveryOptions by_mode(RecoveryMode mode, int fec_window = 8) {
+  RecoveryOptions opts;
+  opts.mode = mode;
+  opts.fec_window = fec_window;
+  return opts;
+}
+
+/// Recovery through the policy registry.
+RecoveryOptions by_name(const char* policy, int fec_window = 8) {
+  RecoveryOptions opts;
+  opts.policy = policy;
+  opts.fec_window = fec_window;
+  return opts;
 }
 
 /// Scripted inner protocol: replays (slot, Tx) and records deliveries.
@@ -197,8 +213,7 @@ TEST(RecoveryProtocol, NackRepairsSingleDropInOrder) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 5; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kNack));
   DropSpecific model;
   model.drop(1);
   sim::Engine engine(topo, recovery);
@@ -225,8 +240,7 @@ TEST(RecoveryProtocol, PlannedArrivalsCountPerSlotAndNodeAcrossLatency) {
   net::UniformCluster base(2, 1, /*t_i=*/3);
   net::ProvisionedTopology topo(base, 1, 1);  // receive capacity 2
   Scripted inner;
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kNack));
   std::vector<Tx> out;
   recovery.transmit(0, out);
   recovery.note_planned_arrival(2, 1);
@@ -261,8 +275,7 @@ TEST(RecoveryProtocol, NackRepairsOverMultiSlotLinksInOrder) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 10; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kNack));
   DropSpecific model;
   model.drop(2);
   model.drop(3);
@@ -286,8 +299,7 @@ TEST(RecoveryProtocol, LostRepairIsRenacked) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 5; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kNack));
   DropSpecific model;
   model.drop(1, /*times=*/2);  // the data packet AND its first repair
   sim::Engine engine(topo, recovery);
@@ -306,9 +318,7 @@ TEST(RecoveryProtocol, FecDecodesSingleLossWithoutRoundTrip) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.mode = RecoveryMode::kFec, .fec_window = 4});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kFec, 4));
   DropSpecific model;
   model.drop(1);
   sim::Engine engine(topo, recovery);
@@ -332,9 +342,7 @@ TEST(RecoveryProtocol, LostParityLeavesWindowUnprotected) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 4; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.mode = RecoveryMode::kFec, .fec_window = 4});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kFec, 4));
   DropSpecific model;
   model.drop(1);
   model.drop(sim::kControlIdBase);  // the parity of window [0, 4)
@@ -352,7 +360,7 @@ TEST(RecoveryProtocol, NackSeatPastDroppedIdNeverRepairsIt) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner, RecoveryOptions{.policy = "nack"});
+  RecoveryProtocol recovery(topo, inner, by_name("nack"));
   Arrivals arrivals;
   recovery.add_observer(arrivals);
   DropSpecific model;
@@ -381,9 +389,7 @@ TEST(RecoveryProtocol, XorSeatPastOneLossDecodesTheOther) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  RecoveryProtocol recovery(topo, inner, by_name("xor-parity", 4));
   Arrivals arrivals;
   recovery.add_observer(arrivals);
   DropSpecific model;
@@ -419,9 +425,7 @@ TEST(RecoveryProtocol, SeatReleasesArrivalsHeldBehindForgivenGaps) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 8; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  RecoveryProtocol recovery(topo, inner, by_name("xor-parity", 4));
   DropSpecific model;
   model.drop(1);
   model.drop(2);
@@ -448,9 +452,7 @@ TEST(RecoveryProtocol, XorLateArrivalDecodesWindowsLastLoss) {
   Scripted inner;
   for (Slot t = 0; t < 4; ++t) inner.at(t, tx(0, 1, t));
   inner.at(6, tx(0, 1, 1));  // the late resend
-  RecoveryProtocol recovery(
-      topo, inner,
-      RecoveryOptions{.policy = "xor-parity", .fec_window = 4});
+  RecoveryProtocol recovery(topo, inner, by_name("xor-parity", 4));
   DropSpecific model;
   model.drop(1);
   model.drop(2);
@@ -478,8 +480,7 @@ TEST(RecoveryProtocol, ZeroLossSchedulePassesThroughUntouched) {
   net::ProvisionedTopology topo(base, 1, 1);
   Scripted inner;
   for (Slot t = 0; t < 6; ++t) inner.at(t, tx(0, 1, t));
-  RecoveryProtocol recovery(topo, inner,
-                            RecoveryOptions{.mode = RecoveryMode::kNack});
+  RecoveryProtocol recovery(topo, inner, by_mode(RecoveryMode::kNack));
   sim::Engine engine(topo, recovery);
   engine.add_observer(recovery);
   engine.run_until(8);

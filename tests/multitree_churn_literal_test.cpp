@@ -4,9 +4,9 @@
 // is always safe.
 #include <gtest/gtest.h>
 
-#include "src/multitree/churn_literal.hpp"
 #include "src/multitree/greedy.hpp"
 #include "src/multitree/structured.hpp"
+#include "tests/support/churn_literal.hpp"
 
 namespace streamcast::multitree {
 namespace {

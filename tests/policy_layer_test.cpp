@@ -121,18 +121,11 @@ TEST(RecoveryStateParity, CellsMatchGolden) {
 TEST(PolicyRegistry, RecoveryEntriesAndCaps) {
   const auto all = policy::recovery_policies();
   ASSERT_EQ(all.size(), 4u);
-  EXPECT_FALSE(policy::recovery_policy("none").caps.reverse_channel);
-  const auto& nack = policy::recovery_policy("nack");
-  EXPECT_TRUE(nack.caps.reverse_channel);
-  EXPECT_TRUE(nack.caps.closes_silent_gaps);
-  EXPECT_FALSE(nack.caps.emits_parity);
-  const auto& fec = policy::recovery_policy("xor-parity");
-  EXPECT_TRUE(fec.caps.emits_parity);
-  EXPECT_FALSE(fec.caps.bounded_recovery);
-  const auto& code = policy::recovery_policy("streaming-code");
-  EXPECT_TRUE(code.caps.emits_parity);
-  EXPECT_TRUE(code.caps.bounded_recovery);
-  EXPECT_FALSE(code.caps.closes_silent_gaps);
+  EXPECT_FALSE(policy::recovery_policy("none").caps.bounded_recovery);
+  EXPECT_FALSE(policy::recovery_policy("nack").caps.bounded_recovery);
+  EXPECT_FALSE(policy::recovery_policy("xor-parity").caps.bounded_recovery);
+  EXPECT_TRUE(
+      policy::recovery_policy("streaming-code").caps.bounded_recovery);
   EXPECT_THROW(policy::recovery_policy("fountain"), std::invalid_argument);
   // The legacy enum maps onto registry names (the compatibility seam the
   // parity cells rely on).
@@ -182,7 +175,6 @@ TEST(StartupPolicies, FixedUsesConfiguredSlotElseWorstDelay) {
 TEST(StartupPolicies, ProgressiveRampDoublesUntilBudgetMet) {
   policy::StartupOptions opts;
   opts.policy = "progressive-ramp";
-  opts.ramp_initial = 1;
   const auto ramp = policy::startup_policy(opts.policy).make(opts);
   auto ctx = synthetic_context();
   // Replays stall until the prebuffer reaches 8 slots past first arrival.
@@ -203,8 +195,6 @@ TEST(StartupPolicies, ProgressiveRampDoublesUntilBudgetMet) {
 TEST(StartupPolicies, LossAdaptiveScalesPrebufferWithLossFraction) {
   policy::StartupOptions opts;
   opts.policy = "loss-adaptive";
-  opts.adapt_safety = 2.0;
-  opts.adapt_min = 1;
   const auto adaptive = policy::startup_policy(opts.policy).make(opts);
   auto ctx = synthetic_context();
   // Lossless: the minimum prebuffer right after the first arrival.

@@ -40,7 +40,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.05;
     fec.loss.seed = 0xfec5;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery = policy::RecoveryMode::kFec;
     cells.push_back({"xor-parity multi-tree/greedy start=worst", fec});
     SessionConfig s0 = fec;
     s0.loss.playback_start = 0;
@@ -54,7 +54,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.1;
     fec.loss.seed = 0x0dd5;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery = policy::RecoveryMode::kFec;
     fec.loss.fec_window = 4;
     cells.push_back({"xor-parity chain fec_window=4", fec});
   }
@@ -63,7 +63,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.06;
     fec.loss.seed = 0x51ee;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery = policy::RecoveryMode::kFec;
     fec.loss.playback_start = 2;
     cells.push_back({"xor-parity single-tree start=2", fec});
   }
@@ -71,7 +71,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     SessionConfig ge{.scheme = Scheme::kMultiTreeGreedy, .n = 21, .d = 2};
     ge.loss.model = loss::ErasureKind::kGilbertElliott;
     ge.loss.seed = 0x6e12;
-    ge.loss.recovery = loss::RecoveryMode::kFec;
+    ge.loss.recovery = policy::RecoveryMode::kFec;
     cells.push_back({"xor-parity multi-tree/greedy ge", ge});
   }
 
@@ -105,7 +105,7 @@ inline std::vector<PolicyParityCell> policy_parity_cells() {
     none.loss.model = loss::ErasureKind::kBernoulli;
     none.loss.rate = 0.05;
     none.loss.seed = 0x5eed;
-    none.loss.recovery = loss::RecoveryMode::kNone;
+    none.loss.recovery = policy::RecoveryMode::kNone;
     none.loss.max_drain = 256;
     cells.push_back({"none chain", none});
   }

@@ -347,9 +347,10 @@ Schedule run_nack(const net::Topology& base, sim::Protocol& protocol,
                   std::uint64_t seed) {
   net::ProvisionedTopology topology(base, 1, 1);
   Recorded recorded(protocol);
-  loss::RecoveryProtocol recovery(
-      topology, recorded,
-      loss::RecoveryOptions{.policy = "nack", .gap_timeout = gap_timeout});
+  loss::RecoveryOptions options;
+  options.policy = "nack";
+  options.gap_timeout = gap_timeout;
+  loss::RecoveryProtocol recovery(topology, recorded, options);
   loss::BernoulliLoss model(rate, seed);
   sim::Engine engine(topology, recovery);
   engine.set_loss_model(&model);

@@ -73,7 +73,7 @@ inline std::vector<ParityCell> parity_cells() {
     fec.loss.model = loss::ErasureKind::kBernoulli;
     fec.loss.rate = 0.05;
     fec.loss.seed = 0xfec5;
-    fec.loss.recovery = loss::RecoveryMode::kFec;
+    fec.loss.recovery = policy::RecoveryMode::kFec;
     cells.push_back({"multi-tree/greedy mode=pre loss=fec", fec});
     fec.scheme = Scheme::kChain;
     fec.n = 12;

@@ -1,4 +1,4 @@
-#include "src/multitree/churn_literal.hpp"
+#include "tests/support/churn_literal.hpp"
 
 #include <stdexcept>
 #include <vector>

@@ -1,4 +1,4 @@
-#include "src/audit/injector.hpp"
+#include "tests/support/injector.hpp"
 
 namespace streamcast::audit {
 

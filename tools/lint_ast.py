@@ -33,10 +33,12 @@ source:
   overlay-seed — a util::Prng built from a numeric literal under src/rrd/
                or src/dyntree/: overlay randomness flows from
                SessionConfig::seed.
-  session-shim — StreamingSession, run_lossy(, run_scale( or run_startup(
-               outside src/core/: core::run_session is the one session
-               entry point; the StreamingSession forwards stay only for the
-               session-mix benchmark (perfbench/, outside the lint roots).
+  session-shim — StreamingSession, any alias that resolves to it (through
+               the whole-tree alias table, under both engines), run_lossy(,
+               run_scale( or run_startup( outside src/core/:
+               core::run_session is the one session entry point; the
+               StreamingSession forwards stay only for the session-mix
+               benchmark (perfbench/, outside the lint roots).
   layer-dag  — an #include edge that climbs the module-layer DAG declared
                in tools/layers.toml: module A may include module B only if
                A == B or B's rank is strictly lower. Same-rank modules are
@@ -104,6 +106,7 @@ RNG_NAMES = re.compile(
     r"discard_block_engine|shuffle_order_engine)\b"
 )
 UNORDERED = re.compile(r"\bstd::unordered_(map|set|multimap|multiset)\b")
+STREAMING_SESSION = re.compile(r"\bStreamingSession\b")
 SWEEP_CALL = re.compile(r"\b(parallel_for|run_sweep)\s*\(")
 REF_DEFAULT = re.compile(r"\[\s*&\s*[\],]")
 ALLOW = re.compile(r"lint:\s*allow\(([a-z-]+)\)")
@@ -232,14 +235,19 @@ TEXT_RULES = [
         re.compile(r"\bprng_" + LITERAL),
     ], only=frozenset({"rrd", "dyntree"})),
     TextRule("session-shim", [
-        re.compile(r"\bStreamingSession\b"),
+        STREAMING_SESSION,
         re.compile(r"\brun_(lossy|scale|startup)\s*\("),
     ], exempt=frozenset({"core"})),
 ]
 
 
+def module_name(src: Source) -> str | None:
+    """The src/ module a file belongs to; None outside src/."""
+    return src.src_rel.split("/", 1)[0] if src.src_rel else None
+
+
 def check_text_rules(src: Source) -> list[Finding]:
-    module = src.src_rel.split("/", 1)[0] if src.src_rel else None
+    module = module_name(src)
     rules = [r for r in TEXT_RULES
              if (not r.only or module in r.only) and module not in r.exempt]
     findings: list[Finding] = []
@@ -484,8 +492,29 @@ def builtin_sweep_capture(sources: list[Source]) -> list[Finding]:
     return findings
 
 
-def run_builtin(sources: list[Source]) -> list[Finding]:
-    aliases = collect_aliases(sources)
+def check_session_shim_aliases(sources: list[Source],
+                               aliases: dict[str, str]) -> list[Finding]:
+    """Every use, outside src/core/, of an alias that resolves to
+    StreamingSession: the textual row sees the alias's declaration, not a
+    construction through it (`const Session s{cfg};`)."""
+    names = banned_alias_names(aliases, STREAMING_SESSION)
+    if not names:
+        return []
+    use = re.compile(
+        r"\b(?:" + "|".join(re.escape(n) for n in sorted(names)) + r")\b")
+    findings: list[Finding] = []
+    for src in sources:
+        if module_name(src) == "core":
+            continue
+        for lineno, line in enumerate(src.code_lines, start=1):
+            if use.search(line) and not src.allowed(lineno, "session-shim"):
+                findings.append(
+                    (src.path, lineno, "session-shim", src.snippet(lineno)))
+    return findings
+
+
+def run_builtin(sources: list[Source],
+                aliases: dict[str, str]) -> list[Finding]:
     findings: list[Finding] = []
     findings += builtin_rng(sources, aliases)
     findings += builtin_unordered(sources, aliases)
@@ -632,6 +661,7 @@ def main(argv: list[str]) -> int:
         print(f"lint_ast: {exc}", file=sys.stderr)
         return 2
     sources = [Source(p) for p in files]
+    aliases = collect_aliases(sources)
 
     ci, reason = load_cindex()
     if ci is None:
@@ -640,10 +670,11 @@ def main(argv: list[str]) -> int:
             f"({reason}); canonical-type checks are approximated",
             file=sys.stderr,
         )
-        engine, findings = "builtin", run_builtin(sources)
+        engine, findings = "builtin", run_builtin(sources, aliases)
     else:
         engine, findings = "clang", run_clang(ci, sources)
 
+    findings += check_session_shim_aliases(sources, aliases)
     for src in sources:
         findings += check_text_rules(src)
         findings += check_hot_path_alloc(src)
