@@ -53,7 +53,12 @@ class Mailbox final : public sim::TxRouter {
 /// the same order the serial session path builds.
 std::vector<NodeKey> owned_receivers(const net::ClusteredTopology& topo,
                                      int lo, int hi) {
+  std::size_t total = 0;
+  for (int c = lo; c < hi; ++c) {
+    total += static_cast<std::size_t>(topo.cluster_receivers(c));
+  }
   std::vector<NodeKey> keys;
+  keys.reserve(total);
   for (int c = lo; c < hi; ++c) {
     const NodeKey n = topo.cluster_receivers(c);
     for (NodeKey x = 1; x <= n; ++x) keys.push_back(topo.receiver(c, x));

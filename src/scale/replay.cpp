@@ -2,6 +2,7 @@
 #include "src/scale/replay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <vector>
 
@@ -94,13 +95,22 @@ ReplayReport replay_structured(const ReplayConfig& config,
   double neighbor_sum = 0;
   // lint: allow(hot-path-alloc) — d residue constants, sized once
   std::vector<Slot> residue(static_cast<std::size_t>(d), 0);
-  // lint: allow(hot-path-alloc) — at most 2d distinct partners, sized once
-  std::vector<NodeKey> partners;
-  partners.reserve(2 * static_cast<std::size_t>(d));
-  const auto add_partner = [&partners](NodeKey key) {
-    if (std::find(partners.begin(), partners.end(), key) == partners.end()) {
-      partners.push_back(key);
-    }
+  // lint: allow(hot-path-alloc) — the d distinct parents, sized once
+  std::vector<NodeKey> parents;
+  parents.reserve(static_cast<std::size_t>(d));
+  const auto is_parent = [&parents](NodeKey key) {
+    return std::find(parents.begin(), parents.end(), key) != parents.end();
+  };
+  // The sketches take the receivers a chunk at a time, first the delays,
+  // then the occupancies, so the two summaries take turns in L1 instead of
+  // sharing it. Each still sees receivers 1..n in order.
+  std::array<std::int64_t, kReplayChunk> delays;
+  std::array<std::int64_t, kReplayChunk> occupancies;
+  std::size_t chunked = 0;
+  const auto feed_chunk = [&] {
+    for (std::size_t i = 0; i < chunked; ++i) delay_sketch.add(delays[i]);
+    for (std::size_t i = 0; i < chunked; ++i) buffer_sketch.add(occupancies[i]);
+    chunked = 0;
   };
   envelope::LatticeCursor cursor(lat);
   for (NodeKey x = 1; x <= n; ++x, cursor.advance()) {
@@ -108,13 +118,14 @@ ReplayReport replay_structured(const ReplayConfig& config,
     // (mod d) arrive at slot j + c_k. The playback delay is their max,
     // clamped at 0 exactly like DelayRecorder.
     Slot a = 0;
-    partners.clear();
+    parents.clear();
     for (int k = 0; k < d; ++k) {
       const Slot c =
           offsets[static_cast<std::size_t>(cursor.position(k))] - k + shift;
       residue[static_cast<std::size_t>(k)] = c;
       a = std::max(a, c);
-      add_partner(static_cast<NodeKey>(cursor.parent(k)));
+      const auto parent = static_cast<NodeKey>(cursor.parent(k));
+      if (!is_parent(parent)) parents.push_back(parent);
     }
     report.worst_delay = std::max(report.worst_delay, a);
     delay_sum += static_cast<double>(a);
@@ -132,19 +143,25 @@ ReplayReport replay_structured(const ReplayConfig& config,
     report.max_buffer = std::max(report.max_buffer, occ);
     buffer_sum += static_cast<double>(occ);
 
-    delay_sketch.add(a);
-    buffer_sketch.add(static_cast<std::int64_t>(occ));
+    delays[chunked] = a;
+    occupancies[chunked] = static_cast<std::int64_t>(occ);
+    if (++chunked == delays.size()) feed_chunk();
 
     // Children exist only in the single tree where x is interior; dummies
-    // never receive a send.
+    // never receive a send. They are distinct positions of that one tree,
+    // so only a parent can repeat one.
+    std::size_t neighbors = parents.size();
     if (cursor.interior_tree() >= 0) {
       cursor.for_each_child([&](Count child) {
-        if (child <= n) add_partner(static_cast<NodeKey>(child));
+        if (child <= n && !is_parent(static_cast<NodeKey>(child))) {
+          ++neighbors;
+        }
       });
     }
-    report.max_neighbors = std::max(report.max_neighbors, partners.size());
-    neighbor_sum += static_cast<double>(partners.size());
+    report.max_neighbors = std::max(report.max_neighbors, neighbors);
+    neighbor_sum += static_cast<double>(neighbors);
   }
+  feed_chunk();
 
   report.average_delay = delay_sum / static_cast<double>(n);
   report.average_buffer = buffer_sum / static_cast<double>(n);

@@ -26,8 +26,8 @@
 // The result byte-matches the per-slot pump's serialized QosReport at every
 // N where the pump is feasible (regression-tested up to N = 10^5). The
 // replay is O(N·d) time and O(N_pad) memory: perfbench's large-world
-// replays (N = 10^5..10^6, d = 2..4) run at 3.2–4.6 M nodes/s traced, and
-// N = 10^5 at d = 3 takes about 0.026 s against the pump's 1.3 s, on a
+// replays (N = 10^5..10^6, d = 2..4) run at 7.0–8.0 M nodes/s traced, and
+// N = 10^5 at d = 3 takes about 0.011 s against the pump's 1.1 s, on a
 // 4-core Xeon container with GCC 12.2 at -O2.
 #pragma once
 
@@ -71,6 +71,12 @@ struct ReplayReport {
   PacketId window = 0;
   ScaleSummary summary;
 };
+
+/// Receivers the replay walks before it feeds their delays, then their
+/// occupancies, to the sketches: small enough for two chunks of values to
+/// sit on the stack, large enough that each sketch's summary is reloaded
+/// into L1 once per ten flushes.
+inline constexpr NodeKey kReplayChunk = 1024;
 
 /// Replays the structured multi-tree schedule in closed form. Throws
 /// std::invalid_argument for configs the closed form does not cover

@@ -16,6 +16,7 @@
 //    stay byte-reproducible under the determinism contract.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -56,14 +57,23 @@ class StreamingMoments {
 /// are never merged, so min and max are exact.
 class GkSketch {
  public:
+  /// A batch whose observed range max − min + 1 spans at most this many
+  /// values is counting-sorted; a wider one goes through std::sort. Replay
+  /// batches span a few dozen values at most.
+  static constexpr std::size_t kCountingSortValues = 64;
+
   /// `epsilon` in (0, 0.5); smaller = tighter quantiles, more memory.
   /// `ledger`, when non-null, is charged for summary/buffer growth.
   explicit GkSketch(double epsilon, util::BudgetLedger* ledger = nullptr);
 
-  void add(std::int64_t v);
+  void add(std::int64_t v) {
+    buffer_.push_back(v);
+    if (buffer_.size() >= buffer_capacity_) flush();
+  }
 
   /// Value whose rank is within ε·count() of clamp(ceil(q·count), 1, count).
-  /// Flushes the insert buffer; throws std::logic_error on an empty sketch.
+  /// Flushes the insert buffer; throws std::logic_error on an empty sketch
+  /// and std::invalid_argument unless 0 <= q <= 1 (a NaN q included).
   std::int64_t quantile(double q);
 
   std::int64_t count() const { return n_; }
@@ -79,9 +89,13 @@ class GkSketch {
     std::int64_t delta = 0;
   };
 
-  /// Merges the sorted insert buffer into the summary and compresses it,
-  /// in place: once the summary is sized, a flush allocates nothing.
+  /// Sorts the insert buffer, merges it into the summary and compresses
+  /// the result, each in its own pass over the summary's own array: once
+  /// the summary is sized, a flush allocates nothing.
   void flush();
+  void sort_batch();
+  void merge_batch(std::int64_t interior);
+  void compress(std::int64_t max_err);
   /// Charges the ledger up to `tuples` summary tuples (the summary before
   /// the flush plus the batch, the array the flush works in) and the
   /// buffer's capacity, as a running maximum.

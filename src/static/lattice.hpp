@@ -236,17 +236,21 @@ constexpr Count arrival_offset(Count pos, Count d) {
 /// memoized form of arrival_offset: positions are parent-major, so one
 /// forward pass resolves every parent before its children — O(n_pad)
 /// instead of O(n_pad · height). Any forest on the lattice (structured or
-/// greedy) shares the table, since positions alone determine it.
+/// greedy) shares the table, since positions alone determine it. The
+/// children q·d + 1 .. q·d + d of position q step the remainder
+/// (c − A(q) − 1) mod d by one each, so one remainder per parent suffices.
 inline std::vector<Count> arrival_offsets(Count n_pad, Count d) {
   std::vector<Count> offset(static_cast<std::size_t>(n_pad) + 1, 0);
-  for (Count pos = 1; pos <= n_pad; ++pos) {
-    const Count c = (pos - 1) % d;
-    const auto at = static_cast<std::size_t>(pos);
-    if (pos <= d) {
-      offset[at] = c;
-    } else {
-      const Count parent = offset[static_cast<std::size_t>((pos - 1) / d)];
-      offset[at] = parent + 1 + util::mod_floor(c - parent - 1, d);
+  Count pos = 1;
+  for (; pos <= d && pos <= n_pad; ++pos) {
+    offset[static_cast<std::size_t>(pos)] = pos - 1;
+  }
+  for (Count q = 1; pos <= n_pad; ++q) {
+    const Count parent = offset[static_cast<std::size_t>(q)];
+    Count r = util::mod_floor(-parent - 1, d);
+    for (Count c = 0; c < d && pos <= n_pad; ++c, ++pos) {
+      offset[static_cast<std::size_t>(pos)] = parent + 1 + r;
+      if (++r == d) r = 0;
     }
   }
   return offset;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,12 +111,12 @@ TEST(GkSketch, SummaryStaysSublinear) {
   EXPECT_LT(sketch.summary_size(), 2'000u);
 }
 
-/// The three-pass flush GkSketch used before its one-pass in-place form,
-/// kept as the reference model of its exact output: a forward merge into a
-/// fresh array (on equal values the summary tuple first), a right-to-left
-/// compress into another, and a reverse. The ledger figure is the
-/// summary's capacity, which the compress array's reserve() makes exactly
-/// summary + batch, plus the buffer's capacity.
+/// The flush GkSketch used before it worked in place, kept as the reference
+/// model of its exact output: a forward merge into a fresh array (on equal
+/// values the summary tuple first), a right-to-left compress into another,
+/// and a reverse. The ledger figure is the summary's capacity, which the
+/// compress array's reserve() makes exactly summary + batch, plus the
+/// buffer's capacity.
 class ReferenceGk {
  public:
   ReferenceGk(double epsilon, util::BudgetLedger* ledger)
@@ -217,54 +218,94 @@ class ReferenceGk {
   std::size_t charged_ = 0;
 };
 
+/// Feeds `length` values `value(i, draw)` to a GkSketch and a ReferenceGk
+/// and asserts exact agreement. With a nonzero `period` it queries at every
+/// period-th insert, which also flushes partial batches.
+template <class ValueOf>
+void expect_matches_reference(double epsilon, std::int64_t length,
+                              std::uint64_t stream, std::int64_t period,
+                              ValueOf value) {
+  util::BudgetLedger ledger(util::MemoryBudget{});
+  util::BudgetLedger reference_ledger(util::MemoryBudget{});
+  scale::GkSketch sketch(epsilon, &ledger);
+  ReferenceGk reference(epsilon, &reference_ledger);
+  for (std::int64_t i = 1; i <= length; ++i) {
+    const std::uint64_t draw =
+        mix(stream * 1'000'003 + static_cast<std::uint64_t>(i));
+    const std::int64_t v = value(i, draw);
+    sketch.add(v);
+    reference.add(v);
+    if (period != 0 && i % period == 0) {
+      const double q = static_cast<double>(draw % 101) / 100.0;
+      ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
+          << "stream=" << stream << " eps=" << epsilon << " i=" << i;
+      ASSERT_EQ(sketch.summary_size(), reference.summary_size())
+          << "stream=" << stream << " i=" << i;
+    }
+  }
+  for (const double q : {0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0}) {
+    ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
+        << "stream=" << stream << " eps=" << epsilon << " length=" << length
+        << " q=" << q;
+  }
+  ASSERT_EQ(sketch.summary_size(), reference.summary_size())
+      << "stream=" << stream;
+  ASSERT_EQ(ledger.peak(), reference_ledger.peak()) << "stream=" << stream;
+}
+
 TEST(GkSketch, MatchesThreePassReferenceExactly) {
   // Exact tuples, not just ε-ranks: the replay's digests pin the sketch's
   // quantiles, so the tie rule, the Δ = 0 extremes and the ledger figure
   // must all match the reference. Every third stream never queries before
-  // its end; the others query at a stream-specific period, which also
-  // flushes partial batches.
+  // its end; the others query at a stream-specific period. The ranges
+  // cover a constant stream and both sides of the counting-sort cutoff.
+  constexpr auto kValues =
+      static_cast<std::int64_t>(scale::GkSketch::kCountingSortValues);
   std::uint64_t stream = 0;
   for (const double epsilon : {0.001, 0.005, 0.01, 0.05, 0.2, 0.49}) {
-    for (const std::int64_t range : {2, 3, 50, 1'000, 1'000'000}) {
+    for (const std::int64_t range : {std::int64_t{1}, std::int64_t{2},
+                                     std::int64_t{3}, std::int64_t{50},
+                                     kValues - 1, kValues, kValues + 1,
+                                     std::int64_t{1'000},
+                                     std::int64_t{1'000'000}}) {
       for (const std::int64_t length : {1, 100, 4'321, 200'000}) {
         ++stream;
-        util::BudgetLedger ledger(util::MemoryBudget{});
-        util::BudgetLedger reference_ledger(util::MemoryBudget{});
-        scale::GkSketch sketch(epsilon, &ledger);
-        ReferenceGk reference(epsilon, &reference_ledger);
         const std::int64_t period =
             stream % 3 == 0
                 ? 0
                 : 1 + static_cast<std::int64_t>(mix(stream) % 2'000);
         const auto span = static_cast<std::uint64_t>(range);
-        for (std::int64_t i = 1; i <= length; ++i) {
-          const std::uint64_t draw =
-              mix(stream * 1'000'003 + static_cast<std::uint64_t>(i));
-          const std::int64_t v =
-              static_cast<std::int64_t>(draw % span) - range / 3;
-          sketch.add(v);
-          reference.add(v);
-          if (period != 0 && i % period == 0) {
-            const double q = static_cast<double>(draw % 101) / 100.0;
-            ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
-                << "stream=" << stream << " eps=" << epsilon << " i=" << i;
-            ASSERT_EQ(sketch.summary_size(), reference.summary_size())
-                << "stream=" << stream << " i=" << i;
-          }
-        }
-        for (const double q :
-             {0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 1.0}) {
-          ASSERT_EQ(sketch.quantile(q), reference.quantile(q))
-              << "stream=" << stream << " eps=" << epsilon
-              << " range=" << range << " length=" << length << " q=" << q;
-        }
-        ASSERT_EQ(sketch.summary_size(), reference.summary_size())
-            << "stream=" << stream;
-        ASSERT_EQ(ledger.peak(), reference_ledger.peak())
-            << "stream=" << stream;
+        expect_matches_reference(
+            epsilon, length, stream, period,
+            [&](std::int64_t, std::uint64_t draw) {
+              return static_cast<std::int64_t>(draw % span) - range / 3;
+            });
       }
     }
   }
+  // Batches holding both ends of int64: a range check that overflowed
+  // would pick the counting sort here.
+  for (const std::int64_t period : {0, 37}) {
+    ++stream;
+    expect_matches_reference(
+        0.005, 20'000, stream, period,
+        [](std::int64_t i, std::uint64_t draw) {
+          switch (i % 4) {
+            case 0: return std::numeric_limits<std::int64_t>::min();
+            case 1: return std::numeric_limits<std::int64_t>::max();
+            default: return static_cast<std::int64_t>(draw % 7) - 3;
+          }
+        });
+  }
+}
+
+TEST(GkSketch, RejectsQuantileOutsideUnitInterval) {
+  scale::GkSketch sketch(0.01);
+  for (std::int64_t i = 0; i < 10; ++i) sketch.add(i);
+  EXPECT_THROW((void)sketch.quantile(-0.01), std::invalid_argument);
+  EXPECT_THROW((void)sketch.quantile(1.01), std::invalid_argument);
+  EXPECT_THROW((void)sketch.quantile(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(sketch.quantile(1.0), 9);
 }
 
 TEST(DistributionSketch, MomentsMatchExactArithmetic) {
@@ -449,11 +490,23 @@ void expect_replay_matches_pump(const SessionConfig& cfg) {
 TEST(Replay, SummaryMatchesSimulatedSummary) {
   // The replay feeds the sketches per receiver 1..n — the same values in
   // the same order as pipeline aggregation — so the summaries agree
-  // exactly, not just within epsilon.
-  for (const NodeKey n : {40, 121}) {
-    SessionConfig cfg{.scheme = Scheme::kMultiTreeStructured, .n = n, .d = 3};
-    cfg.scale.replay_threshold = 1;  // both runs carry the scale section
-    expect_replay_matches_pump(cfg);
+  // exactly, not just within epsilon. The larger sizes sit on and around
+  // the edges of the chunks the replay walks its receivers in.
+  constexpr NodeKey kChunk = scale::kReplayChunk;
+  for (const NodeKey n :
+       {NodeKey{40}, NodeKey{121}, kChunk - 1, kChunk, kChunk + 1,
+        2 * kChunk + 1}) {
+    for (const auto mode : {multitree::StreamMode::kPreRecorded,
+                            multitree::StreamMode::kLivePrebuffered}) {
+      SessionConfig cfg{
+          .scheme = Scheme::kMultiTreeStructured, .n = n, .d = 3,
+          .mode = mode};
+      cfg.scale.replay_threshold = 1;  // both runs carry the scale section
+      SCOPED_TRACE("n=" + std::to_string(n) + " mode=" +
+                   (mode == multitree::StreamMode::kPreRecorded ? "pre"
+                                                                : "live"));
+      expect_replay_matches_pump(cfg);
+    }
   }
 }
 
