@@ -3,6 +3,7 @@
 // transmitted packet, and transmission target.
 #include <iostream>
 #include <map>
+#include <span>
 #include <string>
 
 #include "bench/bench_util.hpp"
@@ -20,7 +21,9 @@ using namespace streamcast;
 class TraceObserver final : public sim::DeliveryObserver {
  public:
   explicit TraceObserver(sim::Trace& trace) : trace_(trace) {}
-  void on_delivery(const sim::Delivery& d) override { trace_.record(d); }
+  void on_deliveries(std::span<const sim::Delivery> arrivals) override {
+    for (const sim::Delivery& d : arrivals) trace_.record(d);
+  }
 
  private:
   sim::Trace& trace_;

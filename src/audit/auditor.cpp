@@ -121,7 +121,12 @@ void InvariantAuditor::observe_window(const sim::Delivery& d) {
   prefix_[static_cast<std::size_t>(x)] = after;
 }
 
-void InvariantAuditor::on_delivery(const sim::Delivery& d) {
+void InvariantAuditor::on_deliveries(
+    std::span<const sim::Delivery> arrivals) {
+  for (const sim::Delivery& d : arrivals) observe(d);
+}
+
+void InvariantAuditor::observe(const sim::Delivery& d) {
   ++report_.deliveries_audited;
   advance(d.received);
   max_latency_seen_ = std::max(max_latency_seen_, d.received - d.sent + 1);

@@ -3,7 +3,7 @@
 //
 // The engine already *enforces* capacity at the moment a transmission is
 // queued; the auditor is deliberately redundant — it recomputes every
-// invariant from nothing but the observer event stream (on_delivery /
+// invariant from nothing but the observer event stream (on_deliveries /
 // on_drop) and the topology oracle, so a bug in the engine's own accounting,
 // a protocol that mutates state mid-stream (churn, loss recovery), or a
 // future parallel engine cannot silently void the paper's claims. Audit
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -78,7 +79,7 @@ class InvariantAuditor final : public sim::DeliveryObserver {
  public:
   InvariantAuditor(const net::Topology& topology, AuditOptions options = {});
 
-  void on_delivery(const sim::Delivery& d) override;
+  void on_deliveries(std::span<const sim::Delivery> arrivals) override;
   void on_drop(const sim::Drop& d) override;
 
   /// Runs the end-of-run checks (delay/buffer/completeness) and returns the
@@ -97,6 +98,7 @@ class InvariantAuditor final : public sim::DeliveryObserver {
   /// Charges one transmission to (from, slot); shared by deliveries and
   /// drops — an erased packet still consumed its sender's capacity.
   void charge_send(Slot sent, const sim::Tx& tx);
+  void observe(const sim::Delivery& d);
   void observe_window(const sim::Delivery& d);
   void advance(Slot processing_slot);
   std::size_t window_index(NodeKey node, PacketId packet) const;

@@ -14,6 +14,14 @@
 //    (drop reports + post-repair fan-out) before the auditor, and the
 //    metric recorders to the recovery layer, so metrics observe the
 //    post-repair stream while the auditor watches the physical one.
+//  * Phase 2 (DESIGN.md §8): the engine hands each slot's arrivals to every
+//    observer as one span, in the attach order above, before the protocol
+//    sees any of them; the recovery layer forwards that span to the metrics
+//    unchanged. A policy's FEC decodes happen in the protocol pass, so the
+//    metrics see them after the slot's physical arrivals rather than
+//    between them. No report depends on that: a same-slot decode and a
+//    physical arrival of the same packet both record delta t - p, and the
+//    neighbor and continuity counts are order-free.
 //
 // One recorder family (DESIGN.md §9, §11): every run records delays and
 // neighbors in the flat metrics layout, and the continuity recorder, when

@@ -367,11 +367,13 @@ void RecoveryProtocol::flush_held_back(Slot t, Receiver& r, std::int32_t tag) {
   }
 }
 
-void RecoveryProtocol::on_delivery(const sim::Delivery& d) {
-  // Fan the post-repair stream out to attached metrics. Policy-decoded
-  // packets are synthesized in ingest_decoded; everything the engine
-  // actually delivered (data, repairs, parity) passes through here.
-  for (sim::DeliveryObserver* obs : observers_) obs->on_delivery(d);
+void RecoveryProtocol::on_deliveries(
+    std::span<const sim::Delivery> arrivals) {
+  // Fan the post-repair stream out to attached metrics, the engine's slot
+  // span as it is. Policy-decoded packets are synthesized in
+  // ingest_decoded; everything the engine actually delivered (data,
+  // repairs, parity) passes through here.
+  for (sim::DeliveryObserver* obs : observers_) obs->on_deliveries(arrivals);
 }
 
 void RecoveryProtocol::on_drop(const sim::Drop& d) {

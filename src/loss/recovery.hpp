@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -137,7 +138,7 @@ class RecoveryProtocol final : public sim::Protocol,
   void deliver(Slot t, const Tx& tx) override;
 
   // sim::DeliveryObserver (drop reports + post-repair stream fan-out)
-  void on_delivery(const sim::Delivery& d) override;
+  void on_deliveries(std::span<const sim::Delivery> arrivals) override;
   void on_drop(const sim::Drop& d) override;
 
   /// Observers of the post-repair stream: real deliveries, repair

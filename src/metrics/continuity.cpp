@@ -6,13 +6,15 @@ namespace streamcast::metrics {
 ContinuityRecorder::ContinuityRecorder(const DelayRecorder& arrivals)
     : arrivals_(arrivals) {}
 
-void ContinuityRecorder::on_delivery(const Delivery& d) {
-  if (d.tx.packet >= sim::kControlIdBase) {
-    ++parity_;
-  } else if (d.tx.retransmit) {
-    ++retransmissions_;
-  } else {
-    ++data_;
+void ContinuityRecorder::on_deliveries(std::span<const Delivery> arrivals) {
+  for (const Delivery& d : arrivals) {
+    if (d.tx.packet >= sim::kControlIdBase) {
+      ++parity_;
+    } else if (d.tx.retransmit) {
+      ++retransmissions_;
+    } else {
+      ++data_;
+    }
   }
 }
 

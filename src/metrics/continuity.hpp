@@ -24,6 +24,7 @@
 // streams deliver in slot order.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/metrics/delay.hpp"
@@ -37,7 +38,7 @@ class ContinuityRecorder final : public sim::DeliveryObserver {
   /// stream and outlive the recorder.
   explicit ContinuityRecorder(const DelayRecorder& arrivals);
 
-  void on_delivery(const Delivery& d) override;
+  void on_deliveries(std::span<const Delivery> arrivals) override;
 
   struct Report {
     /// Maximal stall intervals (consecutive stalled slots count once).

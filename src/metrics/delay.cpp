@@ -25,22 +25,42 @@ DelayRecorder::DelayRecorder(NodeKey nodes, PacketId window,
   best_.assign(span, kNoDelta);
 }
 
-void DelayRecorder::on_delivery(const Delivery& d) {
-  if (d.tx.packet < 0 || d.tx.packet >= window_) return;
-  if (d.tx.to < 0 || d.tx.to >= nodes()) return;
-  const auto node = static_cast<std::size_t>(d.tx.to);
-  std::int32_t& cell = delta_[node * static_cast<std::size_t>(window_) +
-                              static_cast<std::size_t>(d.tx.packet)];
-  if (cell != kNoDelta) return;  // the first arrival stands
+void DelayRecorder::on_deliveries(std::span<const Delivery> arrivals) {
+  const std::size_t n = arrivals.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchAhead < n) {
+      // Only in-range cells: the address of any other would point outside
+      // the matrix.
+      if (const std::int32_t* ahead = cell(arrivals[i + kPrefetchAhead])) {
+        __builtin_prefetch(ahead, /*rw=*/1);
+      }
+    }
+    record(arrivals[i]);
+  }
+}
+
+std::int32_t* DelayRecorder::cell(const Delivery& d) {
+  if (d.tx.packet < 0 || d.tx.packet >= window_) return nullptr;
+  if (d.tx.to < 0 || d.tx.to >= nodes()) return nullptr;
+  return delta_.data() +
+         static_cast<std::size_t>(d.tx.to) *
+             static_cast<std::size_t>(window_) +
+         static_cast<std::size_t>(d.tx.packet);
+}
+
+void DelayRecorder::record(const Delivery& d) {
+  std::int32_t* const at = cell(d);
+  if (at == nullptr || *at != kNoDelta) return;  // the first arrival stands
   const Slot delta = d.received - d.tx.packet;
   // Deltas are bounded by the horizon, far inside int32; a schedule that
   // breaks this would corrupt the encoding, so refuse loudly.
   if (delta <= kNoDelta || delta > std::numeric_limits<std::int32_t>::max()) {
     throw std::logic_error("arrival delta out of int32 range");
   }
-  cell = static_cast<std::int32_t>(delta);
+  *at = static_cast<std::int32_t>(delta);
+  const auto node = static_cast<std::size_t>(d.tx.to);
   --missing_[node];
-  best_[node] = std::max(best_[node], cell);
+  best_[node] = std::max(best_[node], *at);
 }
 
 // lint: allow(hot-path-alloc) — caller-owned scratch row, reused

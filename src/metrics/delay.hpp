@@ -14,12 +14,18 @@
 // arrival row is rebuilt exactly (arrival = packet + delta), so the layout
 // is a memory optimization, not an approximation. The same matrix backs
 // the ContinuityRecorder's stall replay.
+//
+// The recorder takes a slot's arrivals as one span (DESIGN.md §8) and
+// prefetches the delta cell of the arrival kPrefetchAhead places ahead:
+// every receiver takes one packet per slot, so above ~10^4 nodes each
+// arrival's cell misses L2, and the prefetch overlaps those misses.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/sim/engine.hpp"
@@ -36,6 +42,10 @@ inline constexpr Slot kNeverArrived = -1;
 
 class DelayRecorder final : public sim::DeliveryObserver {
  public:
+  /// How many arrivals ahead of the one being recorded the span loop
+  /// prefetches.
+  static constexpr std::size_t kPrefetchAhead = 12;
+
   /// Tracks nodes [0, nodes) and packets [0, window). Deliveries outside the
   /// window or the node range are ignored (the schemes stream forever; the
   /// window is where we measure). A non-null `ledger` is charged for the
@@ -43,7 +53,7 @@ class DelayRecorder final : public sim::DeliveryObserver {
   DelayRecorder(NodeKey nodes, PacketId window,
                 util::BudgetLedger* ledger = nullptr);
 
-  void on_delivery(const Delivery& d) override;
+  void on_deliveries(std::span<const Delivery> arrivals) override;
 
   /// First arrival slot of packet p at node, or kNeverArrived.
   Slot arrival(NodeKey node, PacketId p) const {
@@ -86,6 +96,9 @@ class DelayRecorder final : public sim::DeliveryObserver {
     return delta_.data() +
            static_cast<std::size_t>(node) * static_cast<std::size_t>(window_);
   }
+  /// d's delta cell, or null when d lies outside the window or node range.
+  std::int32_t* cell(const Delivery& d);
+  void record(const Delivery& d);
 
   PacketId window_;
   /// Flat [node][packet] arrival deltas, stride window_.

@@ -19,27 +19,32 @@ NeighborRecorder::NeighborRecorder(NodeKey nodes, util::BudgetLedger* ledger)
   used_.assign(span, 0);
 }
 
-void NeighborRecorder::on_delivery(const Delivery& d) {
-  insert(d.tx.to, d.tx.from);
-  insert(d.tx.from, d.tx.to);
+void NeighborRecorder::on_deliveries(std::span<const Delivery> arrivals) {
+  for (const Delivery& d : arrivals) {
+    // Rows are symmetric: a sender already in the receiver's row has the
+    // receiver in its own.
+    if (!insert(d.tx.to, d.tx.from)) insert(d.tx.from, d.tx.to);
+  }
 }
 
-void NeighborRecorder::insert(NodeKey node, NodeKey partner) {
-  if (node < 0 || static_cast<std::size_t>(node) >= used_.size()) return;
+bool NeighborRecorder::insert(NodeKey node, NodeKey partner) {
+  if (node < 0 || static_cast<std::size_t>(node) >= used_.size()) {
+    return false;
+  }
   std::uint8_t& used = used_[static_cast<std::size_t>(node)];
   NodeKey* row = partners_.data() + static_cast<std::size_t>(node) * kRowWidth;
   const int held = used == kSpilled ? kRowWidth - 1 : used;
   for (int i = 0; i < held; ++i) {
-    if (row[i] == partner) return;
+    if (row[i] == partner) return true;
   }
   if (used < kRowWidth) {
     row[used++] = partner;
-    return;
+    return false;
   }
-  spill(row, used, partner);
+  return spill(row, used, partner);
 }
 
-void NeighborRecorder::spill(NodeKey* row, std::uint8_t& used,
+bool NeighborRecorder::spill(NodeKey* row, std::uint8_t& used,
                              NodeKey partner) {
   NodeKey* link = &row[kRowWidth - 1];
   if (used != kSpilled) {
@@ -53,17 +58,17 @@ void NeighborRecorder::spill(NodeKey* row, std::uint8_t& used,
   for (NodeKey block = *link;;) {
     const auto base = static_cast<std::size_t>(block);
     for (std::size_t i = base + 1; i < base + kRowWidth; ++i) {
-      if (pool_[i] == partner) return;
+      if (pool_[i] == partner) return true;
       if (pool_[i] == sim::kNoNode) {
         pool_[i] = partner;
-        return;
+        return false;
       }
     }
     if (pool_[base] == sim::kNoNode) {
       const NodeKey next = new_block();
       pool_[base] = next;
       pool_[static_cast<std::size_t>(next) + 1] = partner;
-      return;
+      return false;
     }
     block = pool_[base];
   }

@@ -10,9 +10,16 @@
 // kRowWidth - 1 partners and its last slot becomes the index of the node's
 // first block, and each block links to the next. Counts are exact at any
 // degree, and a recorder that never spills holds exactly the row matrix.
+//
+// Every delivery records each endpoint in the other's row, so the rows are
+// symmetric: once the sender is found in the receiver's row, the search of
+// the sender's row is skipped. A pump repeats its links every round, so
+// that is almost every delivery. Prefetching rows did not pay (DESIGN.md
+// §8).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/engine.hpp"
@@ -34,7 +41,7 @@ class NeighborRecorder final : public sim::DeliveryObserver {
   explicit NeighborRecorder(NodeKey nodes,
                             util::BudgetLedger* ledger = nullptr);
 
-  void on_delivery(const Delivery& d) override;
+  void on_deliveries(std::span<const Delivery> arrivals) override;
 
   /// Distinct nodes this node sent to or received from.
   std::size_t count(NodeKey node) const;
@@ -47,8 +54,10 @@ class NeighborRecorder final : public sim::DeliveryObserver {
   /// used_ value of a node whose row has spilled into the pool.
   static constexpr std::uint8_t kSpilled = 0xFF;
 
-  void insert(NodeKey node, NodeKey partner);
-  void spill(NodeKey* row, std::uint8_t& used, NodeKey partner);
+  /// Records one partnership; true when partner was already recorded for
+  /// node (false too when node is outside the recorder).
+  bool insert(NodeKey node, NodeKey partner);
+  bool spill(NodeKey* row, std::uint8_t& used, NodeKey partner);
   /// Appends an empty block to the pool and returns its offset.
   NodeKey new_block();
 

@@ -13,11 +13,13 @@ void PeerPlaybackTracker::peer_seated(PeerId peer, Slot t,
   ++tracked_;
 }
 
-void PeerPlaybackTracker::on_delivery(const Delivery& d) {
-  const auto it = buffers_.find(peer_of_(d.tx.to));
-  if (it == buffers_.end()) return;
-  it->second.advance_to(d.received - 1);
-  it->second.on_receive(d.received, d.tx.packet);
+void PeerPlaybackTracker::on_deliveries(std::span<const Delivery> arrivals) {
+  for (const Delivery& d : arrivals) {
+    const auto it = buffers_.find(peer_of_(d.tx.to));
+    if (it == buffers_.end()) continue;
+    it->second.advance_to(d.received - 1);
+    it->second.on_receive(d.received, d.tx.packet);
+  }
 }
 
 void PeerPlaybackTracker::retire(net::PlaybackBuffer& buffer, Slot t) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 
 #include "src/net/buffer.hpp"
 #include "src/sim/engine.hpp"
@@ -33,7 +34,7 @@ class PeerPlaybackTracker final : public sim::DeliveryObserver {
 
   PeerPlaybackTracker(PeerOf peer_of, Slot startup_margin);
 
-  void on_delivery(const Delivery& d) override;
+  void on_deliveries(std::span<const Delivery> arrivals) override;
 
   /// Registers a peer seated at slot t: playback starts at
   /// t + startup_margin with packet `live_edge`, the overlay's live edge at

@@ -1,3 +1,4 @@
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 #include "src/multitree/protocol.hpp"
 
 #include <cassert>
@@ -17,10 +18,11 @@ MultiTreeProtocol::MultiTreeProtocol(const Forest& forest, StreamMode mode,
     : forest_(forest), mode_(mode), gate_(std::move(gate)),
       key_offset_(key_offset) {
   const int d = forest_.d();
+  const auto width = static_cast<std::size_t>(d);
   use_periodic_cache(true);
-  src_next_.assign(static_cast<std::size_t>(d),
-                   std::vector<std::int64_t>(static_cast<std::size_t>(d), 0));
+  src_next_.assign(width * width, 0);
   interior_index_.assign(static_cast<std::size_t>(forest_.n()) + 1, -1);
+  interiors_.reserve(width * static_cast<std::size_t>(forest_.interior()));
   for (int k = 0; k < d; ++k) {
     for (NodeKey pos = 1; pos <= forest_.interior(); ++pos) {
       const NodeKey node = forest_.node_at(k, pos);
@@ -28,14 +30,10 @@ MultiTreeProtocol::MultiTreeProtocol(const Forest& forest, StreamMode mode,
       interior_index_[static_cast<std::size_t>(node)] =
           static_cast<int>(interiors_.size());
       interiors_.push_back(InteriorState{
-          .node = node,
-          .pos = pos,
-          .tree = k,
-          .last_recv_m = -1,
-          .child_next =
-              std::vector<std::int64_t>(static_cast<std::size_t>(d), 0)});
+          .node = node, .pos = pos, .tree = k, .last_recv_m = -1});
     }
   }
+  child_next_.assign(interiors_.size() * width, 0);
 }
 
 void MultiTreeProtocol::use_periodic_cache(bool enabled) {
@@ -53,6 +51,7 @@ void MultiTreeProtocol::use_periodic_cache(bool enabled) {
   }
 }
 
+// lint: allow(hot-path-alloc) — appends to the engine's slot list
 void MultiTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {
   const int d = forest_.d();
   // Pre-buffered live streaming: the identical schedule starts d slots late
@@ -77,11 +76,12 @@ void MultiTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {
   // Emits the next pending packet of tree k from `from` (at position
   // `from_pos`) to its r-th child, if it exists and is sendable.
   // `last_m` is the newest tree-k packet index held (kUnbounded for the
-  // pre-recorded source). Dummy children are skipped but still consume the
-  // round-robin turn, exactly as if the dummy were present.
+  // pre-recorded source); `cursors` are the sender's d next-m cursors.
+  // Dummy children are skipped but still consume the round-robin turn,
+  // exactly as if the dummy were present.
   auto pump = [&](NodeKey from_local, NodeKey from_pos, int k,
-                  std::int64_t last_m, std::vector<std::int64_t>& cursors) {
-    auto& m = cursors[static_cast<std::size_t>(r)];
+                  std::int64_t last_m, std::int64_t* cursors) {
+    std::int64_t& m = cursors[r];
     if (m > last_m) return;  // nothing new for this child yet
     const PacketId p = static_cast<PacketId>(k) + m * d;
     if (mode_ == StreamMode::kLivePipelined && p > t) return;  // not generated
@@ -97,13 +97,15 @@ void MultiTreeProtocol::transmit(Slot t, std::vector<Tx>& out) {
   };
 
   // Source: one packet per tree per slot (capacity d).
-  for (int k = 0; k < d; ++k) {
-    pump(/*from_local=*/0, /*from_pos=*/0, k, kUnbounded,
-         src_next_[static_cast<std::size_t>(k)]);
+  std::int64_t* cursors = src_next_.data();
+  for (int k = 0; k < d; ++k, cursors += d) {
+    pump(/*from_local=*/0, /*from_pos=*/0, k, kUnbounded, cursors);
   }
   // Every interior receiver forwards within its one interior tree.
-  for (auto& st : interiors_) {
-    pump(st.node, st.pos, st.tree, st.last_recv_m, st.child_next);
+  cursors = child_next_.data();
+  for (const InteriorState& st : interiors_) {
+    pump(st.node, st.pos, st.tree, st.last_recv_m, cursors);
+    cursors += d;
   }
 }
 

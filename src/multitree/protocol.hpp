@@ -1,4 +1,5 @@
 // Stateful multi-tree streaming protocol (§2.2.3) for the slot engine.
+// streamcast: hot-path (lint: hot-path-alloc applies to this file)
 //
 // Node keys: 0 = source S, 1..n = the real receivers (dummies are "removed
 // in the real system", §2.2, so they are never addressed).
@@ -46,6 +47,7 @@ class MultiTreeProtocol final : public sim::Protocol {
                              SourceGate gate = {},
                              sim::NodeKey key_offset = 0);
 
+  // lint: allow(hot-path-alloc) — appends to the engine's slot list
   void transmit(Slot t, std::vector<Tx>& out) override;
   void deliver(Slot t, const Tx& tx) override;
 
@@ -76,12 +78,17 @@ class MultiTreeProtocol final : public sim::Protocol {
     NodeKey node = 0;
     NodeKey pos = 0;  // its interior position
     int tree = 0;
-    std::int64_t last_recv_m = -1;         // newest tree packet received
-    std::vector<std::int64_t> child_next;  // per child index: next m to send
+    std::int64_t last_recv_m = -1;  // newest tree packet received
   };
+  // lint: allow(hot-path-alloc) — sized once in the constructor
   std::vector<InteriorState> interiors_;
-  std::vector<int> interior_index_;               // node -> index or -1
-  std::vector<std::vector<std::int64_t>> src_next_;  // [tree][child] next m
+  // lint: allow(hot-path-alloc) — node -> index or -1, sized once
+  std::vector<int> interior_index_;
+  /// Flat [interior][child] and [tree][child] next-m cursors, d per sender.
+  // lint: allow(hot-path-alloc) — sized once in the constructor
+  std::vector<std::int64_t> child_next_;
+  // lint: allow(hot-path-alloc) — sized once in the constructor
+  std::vector<std::int64_t> src_next_;
   /// Memoized periodic schedule; when set, transmit() replays it and
   /// deliver() keeps no cursor state (tests prove byte-identical output).
   std::optional<PeriodicSchedule> cache_;

@@ -131,7 +131,7 @@ bool Engine::seen_before(NodeKey node, PacketId packet) {
   return seen;
 }
 
-void Engine::deliver_one(Slot t, const Delivery& d) {
+void Engine::admit(Slot t, const Delivery& d) {
   const auto to = static_cast<std::size_t>(d.tx.to);
   if (recv_epoch_[to] != t) {
     recv_epoch_[to] = t;
@@ -147,9 +147,16 @@ void Engine::deliver_one(Slot t, const Delivery& d) {
       violation("duplicate delivery", t, d.tx);
     }
   }
-  ++stats_.deliveries;
-  for (DeliveryObserver* obs : observers_) obs->on_delivery(d);
-  protocol_.deliver(t, d.tx);
+}
+
+void Engine::complete(Slot t, std::span<const Delivery> arrivals) {
+  // Admit the whole slot first, so a violation throws before any consumer
+  // has seen part of it; then each observer takes the slot in one call, and
+  // the protocol last (DESIGN.md §8).
+  for (const Delivery& d : arrivals) admit(t, d);
+  stats_.deliveries += static_cast<std::int64_t>(arrivals.size());
+  for (DeliveryObserver* obs : observers_) obs->on_deliveries(arrivals);
+  for (const Delivery& d : arrivals) protocol_.deliver(t, d.tx);
 }
 
 void Engine::post(const Delivery& d) {
@@ -170,7 +177,7 @@ void Engine::post(const Delivery& d) {
   // epoch stamps still carry slot now_-1 state, so charging and duplicate
   // detection behave exactly as if the delivery had been in that slot's
   // bucket (DESIGN.md §14 proves protocol-state equivalence).
-  deliver_one(d.received, d);
+  complete(d.received, {&d, 1});
 }
 
 void Engine::step() {
@@ -217,10 +224,9 @@ void Engine::step() {
   // Phase 2: complete arrivals scheduled for this slot.
   auto& bucket = ring_[static_cast<std::size_t>(t) & ring_mask_];
   if (!bucket.empty()) {
-    for (const Delivery& d : bucket) {
-      assert(d.received == t);
-      deliver_one(t, d);
-    }
+    assert(std::ranges::all_of(
+        bucket, [t](const Delivery& d) { return d.received == t; }));
+    complete(t, bucket);
     bucket.clear();
   }
 

@@ -7,6 +7,7 @@
 // an adapter class.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/sim/engine.hpp"
@@ -18,7 +19,9 @@ class Trace final : public DeliveryObserver {
  public:
   void record(const Delivery& d) { deliveries_.push_back(d); }
 
-  void on_delivery(const Delivery& d) override { record(d); }
+  void on_deliveries(std::span<const Delivery> arrivals) override {
+    deliveries_.insert(deliveries_.end(), arrivals.begin(), arrivals.end());
+  }
   void on_drop(const Drop& d) override { drops_.push_back(d); }
 
   const std::vector<Delivery>& all() const { return deliveries_; }

@@ -3,6 +3,8 @@
 // steady-state throughput accounting, and the feeder's spare capacity.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/hypercube/protocol.hpp"
 #include "src/metrics/delay.hpp"
 #include "src/multitree/analysis.hpp"
@@ -19,7 +21,9 @@ namespace {
 class TraceObserver final : public sim::DeliveryObserver {
  public:
   explicit TraceObserver(sim::Trace& trace) : trace_(trace) {}
-  void on_delivery(const sim::Delivery& d) override { trace_.record(d); }
+  void on_deliveries(std::span<const sim::Delivery> arrivals) override {
+    for (const sim::Delivery& d : arrivals) trace_.record(d);
+  }
 
  private:
   sim::Trace& trace_;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,8 +76,10 @@ class Scripted final : public sim::Protocol {
 /// Records the post-repair stream's data packets, decoded ones included.
 class Arrivals final : public sim::DeliveryObserver {
  public:
-  void on_delivery(const Delivery& d) override {
-    if (d.tx.packet < sim::kControlIdBase) packets.push_back(d.tx.packet);
+  void on_deliveries(std::span<const Delivery> arrivals) override {
+    for (const Delivery& d : arrivals) {
+      if (d.tx.packet < sim::kControlIdBase) packets.push_back(d.tx.packet);
+    }
   }
 
   std::vector<PacketId> packets;

@@ -408,6 +408,76 @@ TEST(NeighborRecorder, SpillPastTheRowKeepsCountsExact) {
   EXPECT_DOUBLE_EQ(rec.mean_count(1, 3), (72.0 + 30.0 + 0.0) / 3.0);
 }
 
+TEST(Recorders, SpanMatchesOneAtATime) {
+  // The delay recorder prefetches a fixed distance ahead, and the neighbor
+  // recorder skips the second row search of a known pair. Spans shorter
+  // than, equal to and well past the prefetch distance must leave both
+  // recorders in the state one-at-a-time feeding leaves, with
+  // out-of-window packets, out-of-range keys (for which no cell address may
+  // be formed) and repeated deliveries mixed in. Node 1 gains enough
+  // partners to spill.
+  constexpr NodeKey kNodes = 40;
+  constexpr PacketId kWindow = 8;
+  constexpr std::size_t kAhead = DelayRecorder::kPrefetchAhead;
+  const auto key = [](util::Prng& prng) -> NodeKey {
+    switch (prng.below(8)) {
+      case 0: return -1 - static_cast<NodeKey>(prng.below(3));
+      case 1: return kNodes + static_cast<NodeKey>(prng.below(1 << 20));
+      case 2: return 1;
+      default: return static_cast<NodeKey>(prng.below(kNodes));
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Prng prng(seed);
+    DelayRecorder span_delays(kNodes, kWindow);
+    DelayRecorder one_delays(kNodes, kWindow);
+    NeighborRecorder span_neighbors(kNodes);
+    NeighborRecorder one_neighbors(kNodes);
+    std::vector<sim::Delivery> slot;
+    std::vector<sim::Delivery> sent;
+    for (Slot t = 0; t < 64; ++t) {
+      slot.clear();
+      const auto length = prng.below(3 * kAhead + 1);
+      for (std::uint64_t i = 0; i < length; ++i) {
+        if (!sent.empty() && prng.chance(0.2)) {
+          sim::Delivery again = sent[prng.below(sent.size())];
+          again.received = t;
+          slot.push_back(again);
+          continue;
+        }
+        const PacketId p = prng.chance(0.85)
+                               ? static_cast<PacketId>(prng.below(kWindow))
+                               : prng.range(-3, 2 * kWindow);
+        slot.push_back(make(key(prng), key(prng), p, t));
+      }
+      sent.insert(sent.end(), slot.begin(), slot.end());
+      span_delays.on_deliveries(slot);
+      span_neighbors.on_deliveries(slot);
+      for (const sim::Delivery& d : slot) {
+        one_delays.on_delivery(d);
+        one_neighbors.on_delivery(d);
+      }
+    }
+    NodeKey complete = 0;
+    for (NodeKey node = 0; node < kNodes; ++node) {
+      if (one_delays.complete(node)) ++complete;
+      for (PacketId p = 0; p < kWindow; ++p) {
+        ASSERT_EQ(span_delays.arrival(node, p), one_delays.arrival(node, p))
+            << "seed=" << seed << " node=" << node << " packet=" << p;
+      }
+      ASSERT_EQ(span_delays.playback_delay(node),
+                one_delays.playback_delay(node))
+          << "seed=" << seed << " node=" << node;
+      ASSERT_EQ(span_neighbors.count(node), one_neighbors.count(node))
+          << "seed=" << seed << " node=" << node;
+    }
+    EXPECT_GT(complete, 0) << "seed=" << seed;
+    EXPECT_GT(span_neighbors.count(1),
+              static_cast<std::size_t>(NeighborRecorder::kRowWidth))
+        << "seed=" << seed;
+  }
+}
+
 TEST(Summary, BasicStatistics) {
   const std::vector<double> v{4, 1, 3, 2, 5};
   const Summary s = summarize(v);

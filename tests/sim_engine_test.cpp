@@ -1,8 +1,10 @@
 // Engine tests: latency semantics, capacity enforcement, duplicate
-// detection, observer dispatch, loss hooks, in-flight ring growth.
+// detection, observer dispatch and the phase-2 contract, loss hooks,
+// in-flight ring growth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,10 +36,15 @@ class Scripted final : public Protocol {
   std::vector<std::pair<Slot, Tx>> script_;
 };
 
+/// Keeps every delivery in `all`, and each span it is handed in `spans`.
 class Recorder final : public DeliveryObserver {
  public:
-  void on_delivery(const Delivery& d) override { all.push_back(d); }
+  void on_deliveries(std::span<const Delivery> arrivals) override {
+    all.insert(all.end(), arrivals.begin(), arrivals.end());
+    spans.emplace_back(arrivals.begin(), arrivals.end());
+  }
   std::vector<Delivery> all;
+  std::vector<std::vector<Delivery>> spans;
 };
 
 Tx tx(NodeKey from, NodeKey to, PacketId p) {
@@ -145,6 +152,79 @@ TEST(Engine, DuplicateDeliveryCountedWhenAllowed) {
   engine.run_until(2);
   EXPECT_EQ(engine.stats().duplicate_deliveries, 1);
   EXPECT_EQ(engine.stats().transmissions, 2);
+}
+
+TEST(Engine, PhaseTwoHandsEachSlotToObserversThenProtocol) {
+  // T_c = 3 with T_i = 1: slot 2's bucket holds a cross-cluster arrival
+  // sent in slot 0 ahead of two local ones sent in slot 2, and slot 3's
+  // one sent in slot 1 ahead of one sent in slot 3. A retroactive post
+  // completes one more slot-2 arrival after slot 2 has run.
+  net::ClusteredTopology topo({{.n_receivers = 3}, {.n_receivers = 3}},
+                              /*big_d=*/3, /*small_d=*/2, /*t_c=*/3);
+  const NodeKey s1 = topo.super_node(1);
+  const NodeKey root1 = topo.local_root(1);
+  const NodeKey r01 = topo.receiver(0, 1);
+  const NodeKey r02 = topo.receiver(0, 2);
+  const NodeKey r03 = topo.receiver(0, 3);
+  const NodeKey r11 = topo.receiver(1, 1);
+  Scripted proto;
+  proto.at(0, tx(0, s1, 0));
+  proto.at(0, tx(0, r01, 1));
+  proto.at(1, tx(0, r11, 5));
+  proto.at(2, tx(0, r02, 2));
+  proto.at(2, tx(topo.super_node(0), r03, 3));
+  proto.at(3, tx(r01, r02, 1));
+  Engine engine(topo, proto);
+  Recorder first;
+  Recorder second;
+  engine.add_observer(first);
+  engine.add_observer(second);
+  engine.run_until(3);
+  const Delivery posted{.sent = 0, .received = 2, .tx = tx(0, root1, 4)};
+  engine.post(posted);
+  engine.run_until(4);
+
+  const std::vector<std::vector<Delivery>> expected = {
+      {{.sent = 0, .received = 0, .tx = tx(0, r01, 1)}},
+      {{.sent = 0, .received = 2, .tx = tx(0, s1, 0)},
+       {.sent = 2, .received = 2, .tx = tx(0, r02, 2)},
+       {.sent = 2, .received = 2, .tx = tx(topo.super_node(0), r03, 3)}},
+      {posted},
+      {{.sent = 1, .received = 3, .tx = tx(0, r11, 5)},
+       {.sent = 3, .received = 3, .tx = tx(r01, r02, 1)}}};
+  EXPECT_EQ(first.spans, expected);
+  EXPECT_EQ(second.spans, expected);
+  std::vector<Delivery> in_order;
+  for (const auto& span : expected) {
+    for (const Delivery& d : span) {
+      in_order.push_back({.sent = -1, .received = d.received, .tx = d.tx});
+    }
+  }
+  EXPECT_EQ(proto.delivered, in_order);
+  EXPECT_EQ(engine.stats().deliveries, 7);
+}
+
+TEST(Engine, ReceiveViolationThrowsBeforeObserversSeeTheSlot) {
+  // Slot 1's third arrival is r03's second in the slot: the engine throws
+  // before any observer or the protocol sees slot 1's first two.
+  net::ClusteredTopology topo({{.n_receivers = 3}}, /*big_d=*/3,
+                              /*small_d=*/2, /*t_c=*/3);
+  const NodeKey r01 = topo.receiver(0, 1);
+  const NodeKey r02 = topo.receiver(0, 2);
+  const NodeKey r03 = topo.receiver(0, 3);
+  Scripted proto;
+  proto.at(0, tx(0, r01, 0));
+  proto.at(1, tx(0, r02, 1));
+  proto.at(1, tx(0, r03, 2));
+  proto.at(1, tx(topo.super_node(0), r03, 3));
+  Engine engine(topo, proto);
+  Recorder rec;
+  engine.add_observer(rec);
+  engine.run_until(1);
+  EXPECT_THROW(engine.run_until(2), ProtocolViolation);
+  ASSERT_EQ(rec.spans.size(), 1u);
+  EXPECT_EQ(rec.spans[0].size(), 1u);
+  EXPECT_EQ(proto.delivered.size(), 1u);
 }
 
 TEST(Engine, CapacityIsPerSlotNotCumulative) {
