@@ -3,7 +3,6 @@
 // run (not from the closed form), so the printed slots are the simulated
 // transmission slots.
 #include <iostream>
-#include <span>
 
 #include "bench/bench_util.hpp"
 #include "src/multitree/greedy.hpp"
@@ -18,25 +17,13 @@ namespace {
 
 using namespace streamcast;
 
-class TraceObserver final : public sim::DeliveryObserver {
- public:
-  explicit TraceObserver(sim::Trace& trace) : trace_(trace) {}
-  void on_deliveries(std::span<const sim::Delivery> arrivals) override {
-    for (const sim::Delivery& d : arrivals) trace_.record(d);
-  }
-
- private:
-  sim::Trace& trace_;
-};
-
 void show(const char* name, const multitree::Forest& forest,
           sim::NodeKey node) {
   multitree::MultiTreeProtocol proto(forest);
   net::UniformCluster topo(forest.n(), forest.d());
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver observer(trace);
-  engine.add_observer(observer);
+  engine.add_observer(trace);
   engine.run_until(12);  // one steady-state period past the warm-up
 
   std::cout << name << " construction — node id " << node << ":\n";

@@ -3,7 +3,6 @@
 // transmitted packet, and transmission target.
 #include <iostream>
 #include <map>
-#include <span>
 #include <string>
 
 #include "bench/bench_util.hpp"
@@ -17,17 +16,6 @@
 namespace {
 
 using namespace streamcast;
-
-class TraceObserver final : public sim::DeliveryObserver {
- public:
-  explicit TraceObserver(sim::Trace& trace) : trace_(trace) {}
-  void on_deliveries(std::span<const sim::Delivery> arrivals) override {
-    for (const sim::Delivery& d : arrivals) trace_.record(d);
-  }
-
- private:
-  sim::Trace& trace_;
-};
 
 std::string node_name(sim::NodeKey v) {
   std::string name = "N";
@@ -48,17 +36,17 @@ int main() {
   hypercube::HypercubeProtocol proto({hypercube::decompose_chain(n)});
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver observer(trace);
-  engine.add_observer(observer);
+  engine.add_observer(trace);
   engine.run_until(16);
 
   for (sim::Slot t = 9; t <= 11; ++t) {
     std::cout << "slot " << t << "  (pairing dimension " << t % k
               << "; every node consumes packet " << t - k << "):\n";
     util::Table table({"node", "sends packet", "to"});
-    std::map<sim::NodeKey, const sim::Delivery*> by_sender;
+    // By value: sent_in returns a temporary that dies with the loop.
+    std::map<sim::NodeKey, sim::Delivery> by_sender;
     for (const auto& d : trace.sent_in(t)) {
-      by_sender[d.tx.from] = &d;
+      by_sender.insert_or_assign(d.tx.from, d);
     }
     for (sim::NodeKey v = 0; v <= n; ++v) {
       const auto it = by_sender.find(v);
@@ -66,8 +54,8 @@ int main() {
       if (it == by_sender.end()) {
         table.add_row({who, "-", "-"});
       } else {
-        table.add_row({who, util::cell(it->second->tx.packet),
-                       node_name(it->second->tx.to)});
+        table.add_row({who, util::cell(it->second.tx.packet),
+                       node_name(it->second.tx.to)});
       }
     }
     table.print(std::cout);

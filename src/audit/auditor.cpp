@@ -104,21 +104,11 @@ void InvariantAuditor::observe_window(const sim::Delivery& d) {
   if (options_.window <= 0 || p < 0 || p >= options_.window) return;
   Slot& slot = arrival_[window_index(x, p)];
   if (slot == metrics::kNeverArrived) slot = d.received;
-  const PacketId before = prefix_[static_cast<std::size_t>(x)];
-  PacketId after = before;
-  while (after < options_.window &&
-         arrival_[window_index(x, after)] != metrics::kNeverArrived) {
-    ++after;
+  PacketId& prefix = prefix_[static_cast<std::size_t>(x)];
+  while (prefix < options_.window &&
+         arrival_[window_index(x, prefix)] != metrics::kNeverArrived) {
+    ++prefix;
   }
-  if (after < before) {
-    record({.kind = ViolationKind::kPrefixRegression,
-            .slot = d.received,
-            .node = x,
-            .expected = before,
-            .actual = after,
-            .detail = "delivered prefix shrank"});
-  }
-  prefix_[static_cast<std::size_t>(x)] = after;
 }
 
 void InvariantAuditor::on_deliveries(

@@ -20,7 +20,8 @@
 //     twice in one slot
 //   * link-latency pacing      — received - sent + 1 must equal the
 //     topology's latency (T_c across clusters, T_i inside)
-//   * duplicate-free delivery and delivered-prefix monotonicity
+//   * duplicate-free delivery; the gap-free delivered prefix is monotone by
+//     construction (an arrival is never erased), so nothing checks it
 //
 // Checked at finalize(), over the measurement window:
 //   * playback delay against the scheme's claimed bound (Thm 2 / Prop 1-2)

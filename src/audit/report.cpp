@@ -14,8 +14,6 @@ const char* violation_kind_name(ViolationKind kind) {
       return "latency-mismatch";
     case ViolationKind::kDuplicateDelivery:
       return "duplicate-delivery";
-    case ViolationKind::kPrefixRegression:
-      return "prefix-regression";
     case ViolationKind::kDelayBound:
       return "delay-bound";
     case ViolationKind::kBufferBound:

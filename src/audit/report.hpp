@@ -38,8 +38,6 @@ enum class ViolationKind {
   /// The same stream packet was delivered twice to the same node. All of
   /// the paper's schemes are duplicate-free; churn runs relax this check.
   kDuplicateDelivery,
-  /// A node's gap-free delivered prefix decreased between two slots.
-  kPrefixRegression,
   /// A receiver's playback delay exceeded the scheme's claimed bound
   /// (Theorem 2's h*d for the multi-tree, Propositions 1-2 / Theorem 4
   /// envelopes for the hypercube, closed forms for the baselines).

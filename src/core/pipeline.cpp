@@ -15,8 +15,7 @@ ObserverStack::ObserverStack(const net::Topology& topology,
                              const ObserverSpec& spec,
                              util::BudgetLedger* ledger)
     : delays_(spec.node_span, spec.window, ledger),
-      neighbors_(spec.node_span, ledger),
-      trace_(spec.trace) {
+      neighbors_(spec.node_span, ledger) {
   if (spec.continuity) continuity_.emplace(delays_);
   if (spec.audit) auditor_.emplace(topology, spec.audit_options);
 }
@@ -35,7 +34,6 @@ void ObserverStack::attach(sim::Engine& engine,
     recovery->add_observer(neighbors_);
     if (continuity_) recovery->add_observer(*continuity_);
   }
-  if (trace_ != nullptr) engine.add_observer(*trace_);
 }
 
 void ObserverStack::require_clean() {

@@ -1,12 +1,13 @@
 // The one run pipeline every session path flows through (DESIGN.md §9).
 //
 // RunPipeline owns engine construction, the ObserverStack (delay + neighbor
-// recorders, optional continuity recorder, optional InvariantAuditor,
-// optional Trace), the drain loop for lossy runs, and QosReport/LossSummary
-// aggregation. core::run_session()'s single-cluster pump and the sharded
-// super-tree runner are thin configurations of this class; every run path
-// therefore gets identical observability and identical aggregation
-// arithmetic for free.
+// recorders, optional continuity recorder, optional InvariantAuditor), the
+// drain loop for lossy runs, and QosReport/LossSummary aggregation.
+// core::run_session()'s single-cluster pump and the sharded super-tree
+// runner are thin configurations of this class; every run path therefore
+// gets identical observability and identical aggregation arithmetic for
+// free. A caller that wants a sim::Trace attaches it to engine() after
+// construction, after the stack.
 //
 // Wiring contract (byte-identity with the historical paths depends on it):
 //  * reliable runs attach delays/neighbors to the engine, then the auditor;
@@ -46,7 +47,6 @@
 #include "src/policy/startup.hpp"
 #include "src/scale/recorder.hpp"
 #include "src/sim/engine.hpp"
-#include "src/sim/trace.hpp"
 #include "src/util/budget.hpp"
 
 namespace streamcast::core {
@@ -64,8 +64,6 @@ struct ObserverSpec {
   /// Attach the InvariantAuditor with these options.
   bool audit = false;
   audit::AuditOptions audit_options{};
-  /// Caller-owned delivery trace, attached last when non-null.
-  sim::Trace* trace = nullptr;
   /// The session's scale options; the run's allocations are charged
   /// against their memory budget.
   scale::ScaleOptions scale{};
@@ -73,9 +71,8 @@ struct ObserverSpec {
 
 /// The observers of one run, constructed and wired in one place: one delay
 /// and one neighbor recorder, charged to the ledger, plus the optional
-/// continuity recorder (reading the delay recorder's matrix), auditor and
-/// trace. Pinned in place: the continuity recorder refers to the delay
-/// recorder.
+/// continuity recorder (reading the delay recorder's matrix) and auditor.
+/// Pinned in place: the continuity recorder refers to the delay recorder.
 class ObserverStack {
  public:
   ObserverStack(const net::Topology& topology, const ObserverSpec& spec,
@@ -105,7 +102,6 @@ class ObserverStack {
   metrics::NeighborRecorder neighbors_;
   std::optional<metrics::ContinuityRecorder> continuity_;
   std::optional<audit::InvariantAuditor> auditor_;
-  sim::Trace* trace_;
 };
 
 /// How a finished run is folded into a QosReport.

@@ -28,7 +28,8 @@ void NeighborRecorder::on_deliveries(std::span<const Delivery> arrivals) {
 }
 
 bool NeighborRecorder::insert(NodeKey node, NodeKey partner) {
-  if (node < 0 || static_cast<std::size_t>(node) >= used_.size()) {
+  if (node < 0 || partner < 0 ||
+      static_cast<std::size_t>(node) >= used_.size()) {
     return false;
   }
   std::uint8_t& used = used_[static_cast<std::size_t>(node)];

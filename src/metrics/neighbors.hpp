@@ -55,7 +55,8 @@ class NeighborRecorder final : public sim::DeliveryObserver {
   static constexpr std::uint8_t kSpilled = 0xFF;
 
   /// Records one partnership; true when partner was already recorded for
-  /// node (false too when node is outside the recorder).
+  /// node. Records nothing for a node outside the recorder or a negative
+  /// partner (kNoNode marks empty pool slots); partners above it count.
   bool insert(NodeKey node, NodeKey partner);
   bool spill(NodeKey* row, std::uint8_t& used, NodeKey partner);
   /// Appends an empty block to the pool and returns its offset.

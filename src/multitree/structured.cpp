@@ -1,10 +1,8 @@
 #include "src/multitree/structured.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
-#include <stdexcept>
-
-#include "src/util/ints.hpp"
 
 namespace streamcast::multitree {
 
@@ -24,64 +22,6 @@ std::vector<NodeKey> concat_tree(const std::vector<std::vector<NodeKey>>& gs,
 }
 
 }  // namespace
-
-NodeKey structured_position(NodeKey n, int d, int k, NodeKey x) {
-  const Forest shape(n, d);
-  const NodeKey interior = shape.interior();
-  if (x < 1 || x > shape.n_pad()) {
-    throw std::invalid_argument("node id out of range");
-  }
-  if (k < 0 || k >= d) throw std::invalid_argument("tree index out of range");
-
-  if (x > static_cast<NodeKey>(d) * interior) {
-    // G_d member, original tail offset j = x - dI - 1; the group rotates
-    // right once per tree, so in T_k it sits at offset (j + k) mod d.
-    const NodeKey j = x - static_cast<NodeKey>(d) * interior - 1;
-    return static_cast<NodeKey>(d) * interior +
-           (j + static_cast<NodeKey>(k)) % static_cast<NodeKey>(d) + 1;
-  }
-  // Interior-candidate member: x = G_i^j with i = (x-1)/I, j = (x-1) mod I.
-  const NodeKey i = (x - 1) / interior;
-  const NodeKey j = (x - 1) % interior;
-  const std::int64_t p =
-      d / std::gcd(static_cast<std::int64_t>(interior),
-                   static_cast<std::int64_t>(d));
-  // Block order after k left-rotations: group i leads block (i - k) mod d;
-  // elements have rotated right floor(k / P) times within the group.
-  const NodeKey block =
-      static_cast<NodeKey>(((i - k) % d + d) % d);
-  const NodeKey slot =
-      (j + static_cast<NodeKey>(k / p)) % interior;
-  return block * interior + slot + 1;
-}
-
-NodeKey structured_node_at(NodeKey n, int d, int k, NodeKey pos) {
-  const Forest shape(n, d);
-  const NodeKey interior = shape.interior();
-  if (pos < 1 || pos > shape.n_pad()) {
-    throw std::invalid_argument("position out of range");
-  }
-  if (k < 0 || k >= d) throw std::invalid_argument("tree index out of range");
-
-  if (pos > static_cast<NodeKey>(d) * interior) {
-    // Tail position: undo the k right-rotations of G_d.
-    const NodeKey off = pos - static_cast<NodeKey>(d) * interior - 1;
-    const NodeKey j = static_cast<NodeKey>(
-        util::mod_floor(off - static_cast<NodeKey>(k), d));
-    return static_cast<NodeKey>(d) * interior + j + 1;
-  }
-  // Interior position: block b hosts group (b + k) mod d, and the element
-  // slot undoes the floor(k / P) intra-group right-rotations.
-  const NodeKey block = (pos - 1) / interior;
-  const NodeKey slot = (pos - 1) % interior;
-  const std::int64_t p =
-      d / std::gcd(static_cast<std::int64_t>(interior),
-                   static_cast<std::int64_t>(d));
-  const NodeKey i = static_cast<NodeKey>((block + k) % d);
-  const NodeKey j = static_cast<NodeKey>(
-      util::mod_floor(slot - static_cast<NodeKey>(k / p), interior));
-  return i * interior + j + 1;
-}
 
 Forest build_structured(NodeKey n, int d) {
   Forest forest(n, d);

@@ -7,6 +7,10 @@
 // rotates right by one before every tree. The appendix proof shows the
 // resulting positions of any node are pairwise non-congruent mod d, which is
 // exactly the collision-freedom the round-robin schedule needs.
+//
+// envelope::Lattice (src/static/lattice.hpp) computes the same placement in
+// O(1) per query, in both directions, without building the forest; this
+// procedure stays the reference the lattice is tested against.
 #pragma once
 
 #include "src/multitree/forest.hpp"
@@ -15,22 +19,5 @@ namespace streamcast::multitree {
 
 /// Builds the structured forest for n receivers and degree d.
 Forest build_structured(NodeKey n, int d);
-
-/// O(1) closed form of the structured placement: the position of node x in
-/// tree k, without building anything. Lets a node compute its entire
-/// schedule (positions, parents, receive residues) from (N, d, x) alone —
-/// the same local-computability the greedy parity rule gives.
-///
-/// Derivation from the §2.2.1 rotations: after k group-rotations G_i leads
-/// at block (i - k) mod d, each interior group's elements have rotated
-/// right floor(k / P) times (P = d / gcd(I, d)), and G_d has rotated right
-/// k times. Verified equal to build_structured over an (N, d) grid.
-NodeKey structured_position(NodeKey n, int d, int k, NodeKey x);
-
-/// Exact inverse of structured_position: the node occupying position `pos`
-/// of tree k. With it the closed-form replay (src/scale) resolves parents
-/// and children without materializing any tree. Verified equal to
-/// build_structured's node_at over the same (N, d) grid.
-NodeKey structured_node_at(NodeKey n, int d, int k, NodeKey pos);
 
 }  // namespace streamcast::multitree

@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/multitree/analysis.hpp"
+#include "src/static/envelopes.hpp"
 #include "src/static/lattice.hpp"
 #include "src/util/budget.hpp"
 
@@ -32,20 +32,15 @@ ReplayReport replay_structured(const ReplayConfig& config,
   // lint: allow(hot-path-alloc) — the O(N_pad) table, charged above, once
   const std::vector<Slot> offsets = envelope::arrival_offsets(lat.n_pad, d);
 
-  // Session/registry defaults, mirrored exactly (byte-match tests keep the
-  // two in lockstep): window 2·d·(height+2), slack 4 + h·d + 3·d.
-  const int height = lat.depth_of(lat.n_pad);
+  // The multi-tree run defaults, read where the scheme registry reads them.
   const PacketId window =
       config.window > 0 ? config.window
-                        : PacketId{2} * d * (height + 2);
+                        : envelope::multitree_default_window(n, d);
   if (window < d) {
     throw std::invalid_argument(
         "closed-form replay needs window >= d (every residue measured)");
   }
-  const Slot slack = config.slack >= 0
-                         ? config.slack
-                         : 4 + multitree::worst_delay_bound(n, d) + 3 * d;
-  const Slot horizon = window + slack;
+  const Slot horizon = window + envelope::multitree_horizon_slack(n, d);
   const Slot shift = config.prebuffered ? d : 0;
 
   // Dummy occupancy of the G_d tail positions: tree k places dummy id x at

@@ -43,16 +43,15 @@ using sim::NodeKey;
 using sim::PacketId;
 using sim::Slot;
 
-/// What to replay. Mirrors the session/registry defaults exactly: window 0
-/// means the scheme default 2·d·(height+2); slack -1 means the registry's
-/// 4 + h·d + 3·d horizon slack (kept in lockstep by the byte-match tests).
+/// What to replay. Window 0 means the multi-tree default window; the
+/// horizon always adds the multi-tree horizon slack. Both come from
+/// src/static/envelopes.hpp, as they do for the scheme registry's overlay.
 struct ReplayConfig {
   NodeKey n = 0;
   int d = 2;
   /// kLivePrebuffered (schedule shifted by d) instead of kPreRecorded.
   bool prebuffered = false;
   PacketId window = 0;
-  Slot slack = -1;
 };
 
 /// The aggregates a QosReport needs, plus the sketched distributions. The

@@ -17,6 +17,7 @@
 #include "src/multitree/structured.hpp"
 #include "src/rrd/digraph.hpp"
 #include "src/rrd/protocol.hpp"
+#include "src/static/envelopes.hpp"
 #include "src/supertree/analysis.hpp"
 
 namespace streamcast::scheme {
@@ -34,7 +35,7 @@ Overlay build_multitree(const SessionConfig& config) {
       config.scheme == Scheme::kMultiTreeGreedy
           ? multitree::build_greedy(n, d)
           : multitree::build_structured(n, d));
-  if (o.window == 0) o.window = 2 * d * (o.forest->height() + 2);
+  if (o.window == 0) o.window = envelope::multitree_default_window(n, d);
   o.topology = std::make_unique<net::UniformCluster>(n, d);
   auto proto =
       std::make_unique<multitree::MultiTreeProtocol>(*o.forest, config.mode);
@@ -45,7 +46,7 @@ Overlay build_multitree(const SessionConfig& config) {
     proto->use_periodic_cache(false);
   }
   o.protocol = std::move(proto);
-  o.slack += multitree::worst_delay_bound(n, d) + 3 * d;
+  o.slack = envelope::multitree_horizon_slack(n, d);
   return o;
 }
 

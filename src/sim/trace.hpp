@@ -17,8 +17,6 @@ namespace streamcast::sim {
 
 class Trace final : public DeliveryObserver {
  public:
-  void record(const Delivery& d) { deliveries_.push_back(d); }
-
   void on_deliveries(std::span<const Delivery> arrivals) override {
     deliveries_.insert(deliveries_.end(), arrivals.begin(), arrivals.end());
   }

@@ -41,10 +41,17 @@ constexpr Count multitree_delay_bound(Count n, Count d) {
   return static_cast<Count>(tree_height(n, d)) * d;
 }
 
-/// The registry's default measurement window, 2*d*(height + 2) — mirrored
-/// by session defaults and the closed-form replay (byte-match tested).
+/// Default measurement window of a multi-tree run, 2*d*(height + 2): the
+/// scheme registry's overlay and the closed-form replay both read it here.
 constexpr Count multitree_default_window(Count n, Count d) {
   return 2 * d * (tree_height(n, d) + 2);
+}
+
+/// Slots a multi-tree run simulates past its window, 4 + h*d + 3*d: the
+/// worst delay plus room for the last packets' final hops. Shared like the
+/// window above.
+constexpr Count multitree_horizon_slack(Count n, Count d) {
+  return 4 + multitree_delay_bound(n, d) + 3 * d;
 }
 
 // --- hypercube chain (§3, Propositions 1–2) --------------------------------

@@ -31,9 +31,10 @@ namespace streamcast::envelope {
 
 using Count = std::int64_t;
 
-/// The structured position lattice (src/multitree/structured.cpp) with the
-/// per-call Forest construction stripped: O(1) arithmetic in both
-/// directions between node keys and per-tree positions.
+/// The placement of the §2.2.1 structured forest in closed form: O(1)
+/// arithmetic in both directions between node keys and per-tree positions.
+/// multitree::build_structured, which runs the rotation procedure itself,
+/// is the reference it is tested against.
 struct Lattice {
   Count n = 0;
   Count d = 0;
@@ -47,7 +48,9 @@ struct Lattice {
     p = interior == 0 ? 1 : d / std::gcd(interior, d);
   }
 
-  /// multitree::structured_position without the shape Forest.
+  /// Position of node x in tree k. After k group rotations G_i leads block
+  /// (i - k) mod d, each interior group's elements have rotated right
+  /// floor(k / P) times and G_d has rotated right k times.
   constexpr Count position_of(Count k, Count x) const {
     if (x > d * interior) {
       const Count j = x - d * interior - 1;
@@ -60,7 +63,7 @@ struct Lattice {
     return block * interior + slot + 1;
   }
 
-  /// Exact inverse (multitree::structured_node_at without the Forest).
+  /// Exact inverse of position_of: the node at position pos of tree k.
   constexpr Count node_at(Count k, Count pos) const {
     if (pos > d * interior) {
       const Count off = pos - d * interior - 1;
@@ -72,16 +75,6 @@ struct Lattice {
     const Count i = (block + k) % d;
     const Count j = util::mod_floor(slot - k / p, interior);
     return i * interior + j + 1;
-  }
-
-  /// Depth of a position (source = 0), i.e. Forest::depth_of.
-  constexpr int depth_of(Count pos) const {
-    int depth = 0;
-    while (pos > 0) {
-      pos = (pos - 1) / d;
-      ++depth;
-    }
-    return depth;
   }
 };
 

@@ -3,8 +3,6 @@
 // steady-state throughput accounting, and the feeder's spare capacity.
 #include <gtest/gtest.h>
 
-#include <span>
-
 #include "src/hypercube/protocol.hpp"
 #include "src/metrics/delay.hpp"
 #include "src/multitree/analysis.hpp"
@@ -18,17 +16,6 @@
 namespace streamcast {
 namespace {
 
-class TraceObserver final : public sim::DeliveryObserver {
- public:
-  explicit TraceObserver(sim::Trace& trace) : trace_(trace) {}
-  void on_deliveries(std::span<const sim::Delivery> arrivals) override {
-    for (const sim::Delivery& d : arrivals) trace_.record(d);
-  }
-
- private:
-  sim::Trace& trace_;
-};
-
 TEST(Integration, BackbonePipelineTimingIsExact) {
   // Packet j reaches the depth-L super node in slot j + L*T_c - 1 and its
   // local root one T_i later, for every packet after warm-up.
@@ -39,8 +26,7 @@ TEST(Integration, BackbonePipelineTimingIsExact) {
   supertree::SuperTreeProtocol proto(topo);
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver obs(trace);
-  engine.add_observer(obs);
+  engine.add_observer(trace);
   engine.run_until(60);
 
   // offset(c): packet j reaches S_c in slot j + offset(c). The first hop is
@@ -75,8 +61,7 @@ TEST(Integration, DummySlotsAreNeverAddressed) {
   multitree::MultiTreeProtocol proto(f);
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver obs(trace);
-  engine.add_observer(obs);
+  engine.add_observer(trace);
   engine.run_until(60);
   for (const auto& d : trace.all()) {
     EXPECT_LE(d.tx.to, 16);
@@ -97,8 +82,7 @@ TEST(Integration, SteadyStateThroughputIsOnePacketPerNodePerSlot) {
   multitree::MultiTreeProtocol proto(f);
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver obs(trace);
-  engine.add_observer(obs);
+  engine.add_observer(trace);
   engine.run_until(80);
   const sim::Slot warmup = multitree::worst_delay_bound(27, 3) + 3;
   for (sim::Slot t = warmup; t < 75; ++t) {
@@ -115,8 +99,7 @@ TEST(Integration, CubeFeederSendsNothingInCube) {
   hypercube::HypercubeProtocol proto({hypercube::decompose_chain(n)});
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver obs(trace);
-  engine.add_observer(obs);
+  engine.add_observer(trace);
   engine.run_until(40);
   for (sim::Slot t = 8; t < 36; ++t) {
     // Who received from the source this slot?
@@ -139,8 +122,7 @@ TEST(Integration, MultiTreeTagsMatchPacketResidue) {
   multitree::MultiTreeProtocol proto(f);
   sim::Engine engine(topo, proto);
   sim::Trace trace;
-  TraceObserver obs(trace);
-  engine.add_observer(obs);
+  engine.add_observer(trace);
   engine.run_until(30);
   for (const auto& d : trace.all()) {
     EXPECT_EQ(d.tx.tag, d.tx.packet % 3);

@@ -97,6 +97,11 @@ def main() -> int:
                  HERE / "unordered_alias" / "clean")
     expect_marked("unordered same file: range-for flagged",
                   HERE / "unordered_same_file" / "bad")
+    # unordered iteration through an accessor call, by reference or value.
+    expect_marked("unordered accessor: range-for over a call flagged",
+                  HERE / "unordered_accessor" / "bad")
+    expect_clean("unordered accessor: ordered accessor stays clean",
+                 HERE / "unordered_accessor" / "clean")
 
     # wall-clock reads; steady_clock durations are fine.
     expect_marked("wallclock: every marked read flagged once",

@@ -408,6 +408,31 @@ TEST(NeighborRecorder, SpillPastTheRowKeepsCountsExact) {
   EXPECT_DOUBLE_EQ(rec.mean_count(1, 3), (72.0 + 30.0 + 0.0) / 3.0);
 }
 
+TEST(NeighborRecorder, NegativePartnersNeverCountAboveRangeOnesDo) {
+  // kNoNode (-1) marks the pool's empty slots. A negative partner counts in
+  // neither an unspilled nor a spilled row; a partner above the recorder's
+  // range counts once in both.
+  NeighborRecorder rec(100);
+  rec.on_delivery(make(0, 1, 0, 0));
+  for (NodeKey p = 10; p < 40; ++p) rec.on_delivery(make(p, 2, 0, 0));
+  ASSERT_EQ(rec.count(1), 1u);
+  ASSERT_EQ(rec.count(2), 30u);  // past the row: spilled
+  for (const NodeKey negative : {-1, -2}) {
+    for (const NodeKey node : {1, 2}) {
+      rec.on_delivery(make(negative, node, 0, 0));
+      rec.on_delivery(make(node, negative, 0, 0));
+    }
+  }
+  EXPECT_EQ(rec.count(1), 1u);
+  EXPECT_EQ(rec.count(2), 30u);
+  for (int round = 0; round < 2; ++round) {
+    rec.on_delivery(make(500, 1, 0, 0));
+    rec.on_delivery(make(2, 500, 0, 0));
+  }
+  EXPECT_EQ(rec.count(1), 2u);
+  EXPECT_EQ(rec.count(2), 31u);
+}
+
 TEST(Recorders, SpanMatchesOneAtATime) {
   // The delay recorder prefetches a fixed distance ahead, and the neighbor
   // recorder skips the second row search of a known pair. Spans shorter

@@ -10,6 +10,7 @@
 #include "src/multitree/greedy.hpp"
 #include "src/multitree/structured.hpp"
 #include "src/multitree/validate.hpp"
+#include "src/static/lattice.hpp"
 
 namespace streamcast::multitree {
 namespace {
@@ -219,24 +220,20 @@ INSTANTIATE_TEST_SUITE_P(Grid, ConstructionGrid,
                          });
 
 TEST(StructuredClosedForm, MatchesBuiltTreesOnGrid) {
-  // structured_position is an O(1) closed form of the whole construction.
+  // envelope::Lattice::position_of is an O(1) closed form of the whole
+  // construction.
   for (const int d : {1, 2, 3, 4, 5, 6}) {
     for (const NodeKey n : {1, 5, 12, 15, 18, 40, 100, 121}) {
       const Forest f = build_structured(n, d);
+      const envelope::Lattice lat(n, d);
       for (int k = 0; k < d; ++k) {
         for (NodeKey x = 1; x <= f.n_pad(); ++x) {
-          ASSERT_EQ(structured_position(n, d, k, x), f.position_of(k, x))
+          ASSERT_EQ(lat.position_of(k, x), f.position_of(k, x))
               << "n=" << n << " d=" << d << " k=" << k << " x=" << x;
         }
       }
     }
   }
-}
-
-TEST(StructuredClosedForm, RejectsOutOfRange) {
-  EXPECT_THROW(structured_position(15, 3, 0, 0), std::invalid_argument);
-  EXPECT_THROW(structured_position(15, 3, 0, 16), std::invalid_argument);
-  EXPECT_THROW(structured_position(15, 3, 3, 1), std::invalid_argument);
 }
 
 }  // namespace

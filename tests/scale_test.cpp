@@ -16,6 +16,7 @@
 #include "src/multitree/structured.hpp"
 #include "src/scale/replay.hpp"
 #include "src/scale/sketch.hpp"
+#include "src/static/lattice.hpp"
 #include "src/util/budget.hpp"
 
 namespace streamcast {
@@ -374,12 +375,13 @@ TEST(StructuredNodeAt, InvertsStructuredPositionEverywhere) {
   for (const NodeKey n : {1, 2, 3, 5, 7, 12, 16, 27, 40, 63, 100, 121}) {
     for (const int d : {1, 2, 3, 4, 5}) {
       const multitree::Forest forest = multitree::build_structured(n, d);
+      const envelope::Lattice lat(n, d);
       for (int k = 0; k < d; ++k) {
         for (NodeKey pos = 1; pos <= forest.n_pad(); ++pos) {
           const NodeKey x = forest.node_at(k, pos);
-          ASSERT_EQ(multitree::structured_node_at(n, d, k, pos), x)
+          ASSERT_EQ(lat.node_at(k, pos), x)
               << "n=" << n << " d=" << d << " k=" << k << " pos=" << pos;
-          ASSERT_EQ(multitree::structured_position(n, d, k, x), pos);
+          ASSERT_EQ(lat.position_of(k, x), pos);
         }
       }
     }

@@ -222,7 +222,8 @@ TEST(SchemeRegistry, AuditedRunsAreByteIdenticalToUnaudited) {
 
 TEST(RunPipeline, DirectUseMatchesSessionAndCarriesTrace) {
   // The pipeline is usable standalone: build an overlay from the registry,
-  // attach a caller-owned trace, and reproduce the session's report.
+  // attach a caller-owned trace after the stack, and reproduce the
+  // session's report.
   const SessionConfig cfg{.scheme = Scheme::kChain, .n = 12, .d = 1};
   scheme::Overlay overlay = scheme::descriptor(cfg.scheme).build(cfg);
 
@@ -230,9 +231,9 @@ TEST(RunPipeline, DirectUseMatchesSessionAndCarriesTrace) {
   ObserverSpec spec;
   spec.window = overlay.window;
   spec.node_span = cfg.n + 1;
-  spec.trace = &trace;
 
   RunPipeline pipeline(*overlay.topology, *overlay.protocol, spec);
+  pipeline.engine().add_observer(trace);
   pipeline.run(overlay.window + overlay.slack);
 
   std::vector<NodeKey> receivers;

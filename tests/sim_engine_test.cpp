@@ -460,9 +460,9 @@ TEST(Engine, DeliveriesAreCounted) {
 
 TEST(Trace, QueriesBySenderReceiverAndSlot) {
   Trace trace;
-  trace.record(Delivery{.sent = 0, .received = 0, .tx = tx(0, 1, 5)});
-  trace.record(Delivery{.sent = 1, .received = 1, .tx = tx(1, 2, 5)});
-  trace.record(Delivery{.sent = 1, .received = 1, .tx = tx(0, 3, 6)});
+  trace.on_delivery(Delivery{.sent = 0, .received = 0, .tx = tx(0, 1, 5)});
+  trace.on_delivery(Delivery{.sent = 1, .received = 1, .tx = tx(1, 2, 5)});
+  trace.on_delivery(Delivery{.sent = 1, .received = 1, .tx = tx(0, 3, 6)});
   EXPECT_EQ(trace.all().size(), 3u);
   EXPECT_EQ(trace.received_by(2).size(), 1u);
   EXPECT_EQ(trace.sent_by(0).size(), 2u);

@@ -76,14 +76,18 @@ TEST(StaticEnvelope, ArrivalOffsetTableMatchesRecurrence) {
 }
 
 TEST(StaticEnvelope, LatticeMatchesStructuredForest) {
-  for (int d = 1; d <= 4; ++d) {
-    for (int n = 1; n <= 80; ++n) {
+  // The O(1) placement against the §2.2.1 rotation procedure, both ways.
+  for (int d = 1; d <= 6; ++d) {
+    for (int n = 1; n <= 121; ++n) {
+      const multitree::Forest forest = multitree::build_structured(n, d);
       const envelope::Lattice lat(n, d);
+      ASSERT_EQ(lat.n_pad, forest.n_pad()) << "n=" << n << " d=" << d;
       for (int k = 0; k < d; ++k) {
         for (int x = 1; x <= lat.n_pad; ++x) {
-          EXPECT_EQ(lat.position_of(k, x),
-                    multitree::structured_position(n, d, k, x));
-          EXPECT_EQ(lat.node_at(k, lat.position_of(k, x)), x);
+          ASSERT_EQ(lat.position_of(k, x), forest.position_of(k, x))
+              << "n=" << n << " d=" << d << " k=" << k << " x=" << x;
+          ASSERT_EQ(lat.node_at(k, x), forest.node_at(k, x))
+              << "n=" << n << " d=" << d << " k=" << k << " pos=" << x;
         }
       }
     }

@@ -16,7 +16,8 @@ source:
                may not let the date into results.
   unordered-iteration — a range-for over a std::unordered_{map,set,
                multimap,multiset}, wherever the declaration lives (other
-               file, alias, member typedef). Hash order is
+               file, alias, member typedef), or over an accessor call that
+               returns one, by value or by reference. Hash order is
                implementation-defined.
   raw-thread — std::thread construction: workers are std::jthread or go
                through run::parallel_for, which join deterministically.
@@ -423,21 +424,38 @@ def builtin_rng(sources: list[Source], aliases: dict[str, str]
     return findings
 
 
-RANGE_FOR = re.compile(r"\bfor\s*\([^;)]*:\s*([^)]+)\)")
+FOR_OPEN = re.compile(r"\bfor\s*\(")
+RANGE_COLON = re.compile(r"(?<!:):(?!:)")
 LAST_IDENT = re.compile(r"(\w+)\s*(?:\(\s*\))?\s*$")
+
+
+def closing_paren(code: str, open_at: int) -> int:
+    """Index of the ')' that balances the '(' at `open_at`, across line
+    breaks (comments and strings are already blanked), or len(code)."""
+    depth = 0
+    for i in range(open_at, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(code)
 
 
 def builtin_unordered(sources: list[Source], aliases: dict[str, str]
                       ) -> list[Finding]:
-    """Range-for over a variable whose declared type canonicalizes to an
-    unordered container — declaration may live in any file (headers
-    included), through any alias chain."""
+    """Range-for over a variable, or an accessor call, whose declared type
+    canonicalizes to an unordered container — declaration may live in any
+    file (headers included), through any alias chain; the loop header is
+    read paren-balanced."""
     unordered_aliases = banned_alias_names(aliases, UNORDERED)
     type_names = [r"std::unordered_(?:map|set|multimap|multiset)"] + [
         re.escape(n) for n in sorted(unordered_aliases)
     ]
     decl = re.compile(
-        r"\b(?:" + "|".join(type_names) + r")\s*(?:<[^;{}()]*>)?\s+(\w+)\s*[;{=(]"
+        r"\b(?:" + "|".join(type_names)
+        + r")\s*(?:<[^;{}()]*>)?(?:\s*[&*]+\s*|\s+)(\w+)\s*[;{=(]"
     )
     unordered_vars: set[str] = set()
     for src in sources:
@@ -448,11 +466,14 @@ def builtin_unordered(sources: list[Source], aliases: dict[str, str]
     if not unordered_vars:
         return findings
     for src in sources:
-        for lineno, line in enumerate(src.code_lines, start=1):
-            m = RANGE_FOR.search(line)
-            if not m:
+        code = src.code
+        for loop in FOR_OPEN.finditer(code):
+            header = code[loop.end():closing_paren(code, loop.end() - 1)]
+            colon = RANGE_COLON.search(header)
+            if ";" in header or not colon:
                 continue
-            last = LAST_IDENT.search(m.group(1).strip())
+            last = LAST_IDENT.search(header[colon.end():].strip())
+            lineno = code.count("\n", 0, loop.start()) + 1
             if (last and last.group(1) in unordered_vars
                     and not src.allowed(lineno, "unordered-iteration")):
                 findings.append(
@@ -469,26 +490,14 @@ def builtin_sweep_capture(sources: list[Source]) -> list[Finding]:
     for src in sources:
         code = src.code
         for call in SWEEP_CALL.finditer(code):
-            depth = 0
-            i = call.end() - 1
-            while i < len(code):
-                c = code[i]
-                if c == "(":
-                    depth += 1
-                elif c == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif c == "[":
-                    m = REF_DEFAULT.match(code, i)
-                    if m:
-                        lineno = code.count("\n", 0, i) + 1
-                        if not src.allowed(lineno, "sweep-capture"):
-                            findings.append(
-                                (src.path, lineno, "sweep-capture",
-                                 src.snippet(lineno))
-                            )
-                i += 1
+            end = closing_paren(code, call.end() - 1)
+            for m in REF_DEFAULT.finditer(code, call.end(), end):
+                lineno = code.count("\n", 0, m.start()) + 1
+                if not src.allowed(lineno, "sweep-capture"):
+                    findings.append(
+                        (src.path, lineno, "sweep-capture",
+                         src.snippet(lineno))
+                    )
     return findings
 
 
