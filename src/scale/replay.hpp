@@ -25,10 +25,11 @@
 //
 // The result byte-matches the per-slot pump's serialized QosReport at every
 // N where the pump is feasible (regression-tested up to N = 10^5). The
-// replay is O(N·d) time and O(N_pad) memory: perfbench's large-world
-// replays (N = 10^5..10^6, d = 2..4) run at 7.0–8.0 M nodes/s traced, and
-// N = 10^5 at d = 3 takes about 0.011 s against the pump's 1.1 s, on a
-// 4-core Xeon container with GCC 12.2 at -O2.
+// replay is O(N·d) time and O(N_pad) memory, on three threads (the walk
+// and two sketch drains, DESIGN.md §11): perfbench's large-world replays
+// (N = 10^5..10^6, d = 2..4) run at 11–21 M nodes/s traced, and N = 10^5
+// at d = 3 takes 4–6 ms against the pump's 1.1 s, on a 4-core Xeon
+// container with GCC 12.2 at -O2.
 #pragma once
 
 #include <cstdint>
@@ -71,16 +72,21 @@ struct ReplayReport {
   ScaleSummary summary;
 };
 
-/// Receivers the replay walks before it feeds their delays, then their
-/// occupancies, to the sketches: small enough for two chunks of values to
-/// sit on the stack, large enough that each sketch's summary is reloaded
-/// into L1 once per ten flushes.
+/// Receivers per chunk the walk hands to the two sketch drains: large
+/// enough that a handoff's counter traffic is paid once per 1,024 receivers,
+/// small enough that a ring of them sits on the walking thread's stack.
 inline constexpr NodeKey kReplayChunk = 1024;
 
-/// Replays the structured multi-tree schedule in closed form. Throws
-/// std::invalid_argument for configs the closed form does not cover
-/// (window < d) and util::BudgetExceeded if the O(N_pad) offset table would
-/// overrun the budget.
+/// Chunks in flight between the walk and the drains (128 KB of values), so
+/// neither side waits on the other's momentary stalls.
+inline constexpr NodeKey kReplayRing = 8;
+
+/// Replays the structured multi-tree schedule in closed form, on three
+/// threads: the calling thread walks the receivers and two std::jthreads
+/// feed the delay and occupancy sketches. Throws std::invalid_argument for
+/// configs the closed form does not cover (window < d) and
+/// util::BudgetExceeded if the O(N_pad) offset table or a sketch would
+/// overrun the budget (the delay sketch's error first when both do).
 ReplayReport replay_structured(const ReplayConfig& config,
                                const ScaleOptions& options = {});
 

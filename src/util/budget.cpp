@@ -26,6 +26,7 @@ BudgetExceeded::BudgetExceeded(std::string_view component,
       limit_(limit) {}
 
 void BudgetLedger::charge(std::string_view component, std::size_t bytes) {
+  const std::lock_guard lock(mutex_);
   if (bytes > limit_ - used_) {  // used_ <= limit_ always, so no underflow
     throw BudgetExceeded(component, bytes, used_, limit_);
   }
@@ -34,6 +35,7 @@ void BudgetLedger::charge(std::string_view component, std::size_t bytes) {
 }
 
 void BudgetLedger::release(std::size_t bytes) {
+  const std::lock_guard lock(mutex_);
   used_ = bytes > used_ ? 0 : used_ - bytes;
 }
 

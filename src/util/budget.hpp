@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -46,6 +47,13 @@ class BudgetExceeded : public std::runtime_error {
 /// charge() throws before the allocation happens; release() credits bytes
 /// back when a structure is re-laid-out (the peak watermark keeps the true
 /// high-water figure for reports).
+///
+/// charge() and release() serialize on a mutex, so threads may share a
+/// ledger: the closed-form replay's two sketch drains charge one. A ledger
+/// that only charges ends with peak() equal to the sum of its charges in any
+/// interleaving; when two threads' charges would both overrun, which one
+/// throws may vary, and only that. Read used() and peak() once the charging
+/// threads have joined.
 class BudgetLedger {
  public:
   explicit BudgetLedger(MemoryBudget budget) : limit_(budget.bytes) {}
@@ -64,6 +72,7 @@ class BudgetLedger {
 
  private:
   std::size_t limit_ = 0;
+  std::mutex mutex_;  // guards used_ and peak_
   std::size_t used_ = 0;
   std::size_t peak_ = 0;
 };

@@ -3,11 +3,14 @@
 // model, budget fail-fast, the structured placement inverse, and the
 // closed-form replay's byte-identity with the per-slot pump.
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "src/multitree/structured.hpp"
 #include "src/scale/replay.hpp"
 #include "src/scale/sketch.hpp"
+#include "src/static/envelopes.hpp"
 #include "src/static/lattice.hpp"
 #include "src/util/budget.hpp"
 
@@ -360,6 +364,32 @@ TEST(Budget, FailsFastWithComponent) {
   EXPECT_EQ(ledger.used(), 800u);
 }
 
+TEST(Budget, ConcurrentChargesNeverOvercommit) {
+  // The replay's two sketch drains charge one ledger from two threads.
+  util::BudgetLedger ledger(util::MemoryBudget{200'000});
+  std::atomic<int> charged{0};
+  std::atomic<int> refused{0};
+  {
+    std::array<std::jthread, 4> workers;
+    for (std::jthread& worker : workers) {
+      worker = std::jthread([&ledger, &charged, &refused] {
+        for (int i = 0; i < 10'000; ++i) {
+          try {
+            ledger.charge("test/concurrent", 8);
+            ++charged;
+          } catch (const util::BudgetExceeded&) {
+            ++refused;
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(charged.load(), 25'000);
+  EXPECT_EQ(refused.load(), 15'000);
+  EXPECT_EQ(ledger.used(), 200'000u);
+  EXPECT_EQ(ledger.peak(), 200'000u);
+}
+
 TEST(Budget, SessionFailsFastNeverOoms) {
   // A budget far below the recorder footprint: the session must throw
   // BudgetExceeded from allocation accounting, not OOM.
@@ -459,6 +489,17 @@ TEST(Replay, EligibilityGates) {
   EXPECT_FALSE(replay_eligible(disabled));
 }
 
+void expect_same_summary(const scale::QuantileSummary& a,
+                         const scale::QuantileSummary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p95, b.p95);
+  EXPECT_EQ(a.p99, b.p99);
+}
+
 /// The pumped and replayed runs of `cfg` agree on the serialized report
 /// and on both scale quantile summaries, field by field. Both must carry
 /// the scale section (n at or above the replay threshold).
@@ -475,29 +516,23 @@ void expect_replay_matches_pump(const SessionConfig& cfg) {
   EXPECT_FALSE(simulated.scale->replayed);
   EXPECT_TRUE(replayed.scale->replayed);
   EXPECT_EQ(core::serialize(simulated.qos), core::serialize(replayed.qos));
-  const auto expect_equal = [](const scale::QuantileSummary& a,
-                               const scale::QuantileSummary& b) {
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.p50, b.p50);
-    EXPECT_EQ(a.p95, b.p95);
-    EXPECT_EQ(a.p99, b.p99);
-  };
-  expect_equal(simulated.scale->delay, replayed.scale->delay);
-  expect_equal(simulated.scale->buffer, replayed.scale->buffer);
+  expect_same_summary(simulated.scale->delay, replayed.scale->delay);
+  expect_same_summary(simulated.scale->buffer, replayed.scale->buffer);
 }
 
 TEST(Replay, SummaryMatchesSimulatedSummary) {
   // The replay feeds the sketches per receiver 1..n — the same values in
   // the same order as pipeline aggregation — so the summaries agree
   // exactly, not just within epsilon. The larger sizes sit on and around
-  // the edges of the chunks the replay walks its receivers in.
+  // the edges of the chunks the replay walks its receivers in and of the
+  // ring it hands them through: past one full ring every slot is reused,
+  // and the end marker lands in a fresh slot or after a full turn.
   constexpr NodeKey kChunk = scale::kReplayChunk;
+  constexpr NodeKey kRingValues = scale::kReplayRing * kChunk;
   for (const NodeKey n :
        {NodeKey{40}, NodeKey{121}, kChunk - 1, kChunk, kChunk + 1,
-        2 * kChunk + 1}) {
+        2 * kChunk + 1, kRingValues - 1, kRingValues + 1,
+        2 * kRingValues + 1}) {
     for (const auto mode : {multitree::StreamMode::kPreRecorded,
                             multitree::StreamMode::kLivePrebuffered}) {
       SessionConfig cfg{
@@ -508,6 +543,81 @@ TEST(Replay, SummaryMatchesSimulatedSummary) {
                    (mode == multitree::StreamMode::kPreRecorded ? "pre"
                                                                 : "live"));
       expect_replay_matches_pump(cfg);
+    }
+  }
+}
+
+/// The replay's sketches and ledger peak against a serial reference built
+/// from the lattice's closed forms (pre-recorded mode): the offsets table
+/// is charged first, then x = 1..n feed two sketches charging one ledger.
+void expect_replay_matches_serial_reference(NodeKey n, int d) {
+  const envelope::Lattice lat(n, d);
+  const envelope::Count window = envelope::multitree_default_window(n, d);
+  util::BudgetLedger ledger(util::MemoryBudget{});
+  ledger.charge("scale/replay-offsets",
+                (static_cast<std::size_t>(lat.n_pad) + 1) * sizeof(sim::Slot));
+  scale::DistributionSketch delays(scale::kSketchEpsilon, &ledger);
+  scale::DistributionSketch buffers(scale::kSketchEpsilon, &ledger);
+  envelope::Count worst_delay = 0;
+  envelope::Count max_buffer = 0;
+  for (envelope::Count x = 1; x <= n; ++x) {
+    const envelope::Count a = envelope::structured_delay(lat, x);
+    const envelope::Count occ = envelope::structured_occupancy(lat, x, window);
+    delays.add(a);
+    buffers.add(occ);
+    worst_delay = std::max(worst_delay, a);
+    max_buffer = std::max(max_buffer, occ);
+  }
+
+  // Summaries flush the sketches' last batches, which charge the ledger.
+  const scale::QuantileSummary delay = delays.summarize();
+  const scale::QuantileSummary buffer = buffers.summarize();
+
+  SCOPED_TRACE("n=" + std::to_string(n) + " d=" + std::to_string(d));
+  const scale::ReplayReport replayed =
+      scale::replay_structured({.n = n, .d = d});
+  EXPECT_EQ(replayed.worst_delay, worst_delay);
+  EXPECT_EQ(static_cast<envelope::Count>(replayed.max_buffer), max_buffer);
+  EXPECT_EQ(replayed.summary.bytes_peak, ledger.peak());
+  expect_same_summary(replayed.summary.delay, delay);
+  expect_same_summary(replayed.summary.buffer, buffer);
+}
+
+TEST(Replay, MatchesSerialSketchReference) {
+  // On and around the edges of the ring the replay hands its chunks
+  // through, and once past two full turns of it.
+  constexpr NodeKey kChunk = scale::kReplayChunk;
+  constexpr NodeKey kRingValues = scale::kReplayRing * kChunk;
+  for (const int d : {2, 3, 4, 5}) {
+    for (const NodeKey n : {kRingValues - 1, kRingValues, kRingValues + 1,
+                            2 * kRingValues + 1}) {
+      expect_replay_matches_serial_reference(n, d);
+    }
+  }
+  expect_replay_matches_serial_reference(100'003, 3);
+  // At d = 1 arrival_offset recurses as deep as the position.
+  for (const NodeKey n : {NodeKey{1}, NodeKey{2}, kChunk, kChunk + 1}) {
+    expect_replay_matches_serial_reference(n, 1);
+  }
+}
+
+TEST(Replay, SketchBudgetOverrunThrowsAndJoins) {
+  // Budgets that hold the offsets table but not both sketches: a sketch's
+  // charge throws inside its drain, and the replay rethrows it once both
+  // drains have joined. Which sketch overruns first varies with n and the
+  // budget; no call may hang or terminate.
+  for (int i = 0; i < 200; ++i) {
+    const NodeKey n = 20'000 + 37 * i;
+    const envelope::Lattice lat(n, 3);
+    scale::ScaleOptions options;
+    options.budget_bytes =
+        (static_cast<std::size_t>(lat.n_pad) + 1) * sizeof(sim::Slot) +
+        1'000 + 27 * static_cast<std::size_t>(i);
+    try {
+      (void)scale::replay_structured({.n = n, .d = 3}, options);
+      ADD_FAILURE() << "no BudgetExceeded at n=" << n;
+    } catch (const util::BudgetExceeded& e) {
+      EXPECT_EQ(e.component(), "scale/quantile-sketch") << "n=" << n;
     }
   }
 }
